@@ -18,22 +18,9 @@
 // Config::freezer_backoff_ns in nanoseconds with 0 meaning "freeze
 // immediately".
 //
-// Runtime adaptivity (DESIGN.md §5): when Config::tuning is set, the number
-// of ACTIVE aggregators and the backoff window are re-read from the
-// TuningState — one relaxed load per operation attempt — instead of being
-// frozen at construction. Threads map into the active prefix [0, active).
-// Because freezers running under different active-count views may scan
-// overlapping member lists during a transition, ownership of a pending op
-// is pinned by the OWNER: each slot records the aggregator index its op was
-// published to (written before the pending release-store), and a freezer
-// serves only slots recorded for it — plain loads, no hot-path RMW. When
-// the mapping moves under a waiting owner, the owner re-points its record
-// under the OLD aggregator's lock (so no freezer of the old index is
-// mid-scan) after re-checking it is still unserved; it re-maps every spin
-// iteration and always scans its own slot once it takes a freezer lock, so
-// an op stranded by a shrink always rescues itself. Static configurations
-// (tuning == nullptr) skip the record entirely and keep the original
-// protocol and its exact performance.
+// K, the mapping and the backoff are fixed for the structure's lifetime, so
+// every thread has one home aggregator (DESIGN.md §5 records why there is
+// no runtime tuner).
 #pragma once
 
 #include <algorithm>
@@ -42,7 +29,6 @@
 #include <optional>
 #include <vector>
 
-#include "core/adaptive.hpp"
 #include "core/common.hpp"
 #include "core/config.hpp"
 
@@ -61,33 +47,11 @@ public:
         aggs_ = std::make_unique<Agg[]>(num_aggs_);
         for (std::size_t a = 0; a < num_aggs_; ++a) aggs_[a].index = a;
         for (std::size_t t = 0; t < cfg_.max_threads; ++t) {
-            aggs_[agg_of(t, num_aggs_)].tids.push_back(
-                static_cast<std::uint32_t>(t));
-        }
-        if (cfg_.tuning != nullptr) {
-            // Member lists for every possible active count: under active
-            // count A, the freezer of aggregator a scans exactly the
-            // threads that agg_of(t, A) assigns to a. Built once; 5 *
-            // max_threads ids at most.
-            tids_by_active_.resize(num_aggs_);
-            for (std::size_t active = 1; active <= num_aggs_; ++active) {
-                auto& per_agg = tids_by_active_[active - 1];
-                per_agg.resize(num_aggs_);
-                for (std::size_t t = 0; t < cfg_.max_threads; ++t) {
-                    per_agg[agg_of(t, active)].push_back(
-                        static_cast<std::uint32_t>(t));
-                }
-            }
+            aggs_[agg_of(t)].tids.push_back(static_cast<std::uint32_t>(t));
         }
         for (std::size_t a = 0; a < num_aggs_; ++a) {
             Agg& agg = aggs_[a];
-            // Scratch must hold the largest member list this aggregator can
-            // ever scan — under adaptivity that is its list at active == 1
-            // (aggregator 0 then owns every thread).
-            std::size_t cap = agg.tids.size();
-            for (const auto& per_agg : tids_by_active_) {
-                cap = std::max(cap, per_agg[a].size());
-            }
+            const std::size_t cap = agg.tids.size();
             agg.scratch_push = std::make_unique<std::uint32_t[]>(cap);
             agg.scratch_pop = std::make_unique<std::uint32_t[]>(cap);
             agg.scratch_vals = std::make_unique<V[]>(cap);
@@ -111,66 +75,27 @@ public:
     std::optional<V> execute(std::uint32_t op, const V& in,
                              ApplyPushes&& apply_pushes,
                              ApplyPops&& apply_pops) {
-        const bool adaptive = cfg_.tuning != nullptr;
         const std::size_t id = detail::tid();
         Slot& slot = slots_[id];
-        Tune tune = current_tune();
-        std::size_t recorded = agg_of(id, tune.active);
+        Agg& agg = aggs_[agg_of(id)];  // the thread's home, for its lifetime
         slot.in = in;
-        if (adaptive) {
-            // Pin the op to one aggregator index before it becomes visible;
-            // the pending release-store below publishes both together.
-            slot.agg.store(static_cast<std::uint32_t>(recorded),
-                           std::memory_order_relaxed);
-        }
         slot.state.store(op, std::memory_order_release);
         Backoff backoff;
         for (;;) {
             std::uint32_t st = slot.state.load(std::memory_order_acquire);
             if (st >= kDonePushed) return consume(slot, st);
-            // Static configurations never remap: `recorded` IS the home
-            // aggregator for the thread's lifetime, so the mul/div mapping
-            // is hoisted out of the attempt loop entirely.
-            const std::size_t cur =
-                adaptive ? agg_of(id, tune.active) : recorded;
-            if (SEC_UNLIKELY(adaptive && cur != recorded)) {
-                // The active count moved under us: re-point our record to
-                // the current aggregator, under the OLD one's lock so no
-                // freezer of the old index can be scanning concurrently —
-                // and only if we are still unserved (a freezer that beat us
-                // to the lock may have completed the op already).
-                Agg& old_agg = aggs_[recorded];
-                while (old_agg.lock.exchange(1, std::memory_order_acquire) !=
-                       0) {
-                    backoff.pause();
-                }
-                if (slot.state.load(std::memory_order_relaxed) <= kOpPop) {
-                    slot.agg.store(static_cast<std::uint32_t>(cur),
-                                   std::memory_order_relaxed);
-                    recorded = cur;
-                }
-                old_agg.lock.store(0, std::memory_order_release);
-                continue;  // state may have gone done meanwhile
-            }
-            Agg& agg = aggs_[cur];
             if (agg.lock.exchange(1, std::memory_order_acquire) == 0) {
                 // We are the freezer. A previous freezer may have served us
                 // between our load and the lock; only combine while our own
                 // op is still open.
                 if (slot.state.load(std::memory_order_relaxed) <= kOpPop) {
-                    combine(agg, tune, apply_pushes, apply_pops);
+                    combine(agg, apply_pushes, apply_pops);
                 }
                 agg.lock.store(0, std::memory_order_release);
                 st = slot.state.load(std::memory_order_acquire);
                 if (st >= kDonePushed) return consume(slot, st);
             }
             backoff.pause();
-            // One relaxed TuningState load per attempt keeps the mapping
-            // and the freeze parameters current while we wait. Static
-            // configurations hoist it: their Tune is immutable, and the
-            // extra null-check-plus-copy per attempt was measurable on the
-            // uncontended path.
-            if (adaptive) tune = current_tune();
         }
     }
 
@@ -178,12 +103,12 @@ public:
     // load+store under each aggregator's freezer lock (see combine()), so a
     // lock-free reader could both under-count a mid-batch bump and tear
     // ACROSS counters — batched already bumped, eliminated not yet — and
-    // Table 1 / the adaptive controller divide one counter by another.
-    // Taking the lock per aggregator makes the four counters mutually
-    // consistent and flushes every completed batch into the read (lock
-    // hand-off: the freezer's release store pairs with our acquire
-    // exchange). Held only for four relaxed loads, so a concurrent freezer
-    // waits nanoseconds, and stats() never holds two locks at once.
+    // Table 1 divides one counter by another. Taking the lock per
+    // aggregator makes the four counters mutually consistent and flushes
+    // every completed batch into the read (lock hand-off: the freezer's
+    // release store pairs with our acquire exchange). Held only for four
+    // relaxed loads, so a concurrent freezer waits nanoseconds, and stats()
+    // never holds two locks at once.
     StatsSnapshot stats() const {
         StatsSnapshot s;
         for (std::size_t a = 0; a < num_aggs_; ++a) {
@@ -210,12 +135,6 @@ private:
 
     struct alignas(kCacheLineSize) Slot {
         std::atomic<std::uint32_t> state{kIdle};
-        // Adaptive only: the aggregator index this op is pinned to. Written
-        // by the owner before the pending release store (or re-pointed
-        // under the old aggregator's lock), read by freezers after their
-        // acquire load of `state`, so a freezer that sees the op sees its
-        // pin.
-        std::atomic<std::uint32_t> agg{0};
         V in{};   // owner-written before the pending release store
         V out{};  // freezer-written before the kDoneValue release store
     };
@@ -223,8 +142,8 @@ private:
     struct alignas(kCacheLineSize) Agg {
         std::atomic<std::uint32_t> lock{0};
         std::size_t index = 0;
-        std::vector<std::uint32_t> tids;  // members under the full active set
-        // Scratch for the freezer; guarded by `lock`.
+        std::vector<std::uint32_t> tids;  // member thread ids, ascending
+        // Scratch for the freezer, one entry per member; guarded by `lock`.
         std::unique_ptr<std::uint32_t[]> scratch_push;
         std::unique_ptr<std::uint32_t[]> scratch_pop;
         std::unique_ptr<V[]> scratch_vals;
@@ -235,31 +154,12 @@ private:
         std::atomic<std::uint64_t> combined{0};
     };
 
-    // The knobs one operation attempt runs under. Static configurations
-    // read the Config once; adaptive ones decode a single relaxed load of
-    // the TuningState (clamped into [1, num_aggs_] so a controller bug can
-    // never index out of range).
-    struct Tune {
-        std::size_t active;
-        std::uint64_t backoff_ns;
-    };
-
-    Tune current_tune() const noexcept {
-        if (cfg_.tuning == nullptr) {
-            return {num_aggs_, cfg_.freezer_backoff_ns};
-        }
-        const TuningState::Tuning t = cfg_.tuning->load();
-        const std::size_t active = std::min<std::size_t>(
-            std::max<std::uint32_t>(t.active_aggregators, 1), num_aggs_);
-        return {active, t.backoff_ns};
-    }
-
-    // Thread → aggregator under `active` aggregators (the active prefix).
-    std::size_t agg_of(std::size_t tid, std::size_t active) const noexcept {
+    // Thread → home aggregator.
+    std::size_t agg_of(std::size_t tid) const noexcept {
         if (cfg_.mapping == AggregatorMapping::kRoundRobin) {
-            return tid % active;
+            return tid % num_aggs_;
         }
-        return tid * active / cfg_.max_threads;  // contiguous blocks
+        return tid * num_aggs_ / cfg_.max_threads;  // contiguous blocks
     }
 
     std::optional<V> consume(Slot& slot, std::uint32_t st) {
@@ -270,11 +170,9 @@ private:
     }
 
     template <class ApplyPushes, class ApplyPops>
-    void combine(Agg& agg, const Tune& tune, ApplyPushes&& apply_pushes,
+    void combine(Agg& agg, ApplyPushes&& apply_pushes,
                  ApplyPops&& apply_pops) {
-        const bool adaptive = cfg_.tuning != nullptr;
-        const std::vector<std::uint32_t>& members =
-            adaptive ? tids_by_active_[tune.active - 1][agg.index] : agg.tids;
+        const std::vector<std::uint32_t>& members = agg.tids;
         std::size_t np = 0, nq = 0;
         // Member lists are ascending, so every live slot sits in the prefix
         // below the tid high-water mark — stop there instead of walking all
@@ -282,11 +180,9 @@ private:
         // brand-new thread, which re-drives its own aggregator until served.
         const std::size_t hwm = detail::tid_hwm();
         auto scan = [&] {
-            // Rebuilding from scratch on the rescan is safe in both modes:
-            // only a freezer holding THIS aggregator's lock may serve a
-            // slot pinned (or statically assigned) to it, and an owner
-            // needs the same lock to re-point its pin — pending slots stay
-            // pending across the backoff.
+            // Rebuilding from scratch on the rescan is safe: only a freezer
+            // holding THIS aggregator's lock may serve its members, so
+            // pending slots stay pending across the backoff.
             np = nq = 0;
             const std::size_t m = members.size();
             for (std::size_t j = 0; j < m; ++j) {
@@ -301,12 +197,6 @@ private:
                 const std::uint32_t st =
                     s.state.load(std::memory_order_acquire);
                 if (st != kOpPush && st != kOpPop) continue;
-                // Adaptive: serve only ops pinned to this aggregator; a
-                // not-yet-migrated op from another view is its owner's job.
-                if (adaptive &&
-                    s.agg.load(std::memory_order_relaxed) != agg.index) {
-                    continue;
-                }
                 if (st == kOpPush) {
                     agg.scratch_push[np++] = t;
                 } else {
@@ -315,9 +205,9 @@ private:
             }
         };
         scan();
-        if (tune.backoff_ns > 0 && np + nq > 1) {
+        if (cfg_.freezer_backoff_ns > 0 && np + nq > 1) {
             // Freezer backoff: let the batch fill before freezing it.
-            detail::spin_for_ns(tune.backoff_ns);
+            detail::spin_for_ns(cfg_.freezer_backoff_ns);
             scan();
         }
         const std::size_t batch = np + nq;
@@ -385,8 +275,6 @@ private:
     std::size_t num_aggs_ = 1;
     std::unique_ptr<Slot[]> slots_;
     std::unique_ptr<Agg[]> aggs_;
-    // [active - 1][agg] -> member tids; built only under Config::tuning.
-    std::vector<std::vector<std::vector<std::uint32_t>>> tids_by_active_;
 };
 
 }  // namespace sec::detail

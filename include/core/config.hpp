@@ -14,12 +14,8 @@
 
 namespace sec {
 
-class TuningState;  // core/adaptive.hpp — runtime-adjustable knob overrides
-
 // How threads are spread across aggregators (§3.2: threads are assigned
-// "evenly"; the paper's prose example is contiguous blocks). Under adaptive
-// tuning the same policy is applied to the ACTIVE prefix of the aggregator
-// set, so the mapping survives the active count changing at runtime.
+// "evenly"; the paper's prose example is contiguous blocks).
 enum class AggregatorMapping : std::uint8_t {
     kContiguous,  // threads [0,M/K) -> agg 0, [M/K,2M/K) -> agg 1, ...
     kRoundRobin,  // thread t -> agg t % K
@@ -27,10 +23,9 @@ enum class AggregatorMapping : std::uint8_t {
 
 inline constexpr std::size_t kMaxAggregators = 5;
 
-// Upper bound on Config::freezer_backoff_ns: what a TuningState can
-// represent (48 bits of nanoseconds ≈ 78 hours — far beyond any sane
-// window), enforced by validate() so static and adaptive runs of one
-// Config can never silently diverge.
+// Upper bound on Config::freezer_backoff_ns: 48 bits of nanoseconds ≈ 78
+// hours, far beyond any sane window. validate() rejects anything larger as
+// malformed input (e.g. a negative value wrapped to 2^64 - n).
 inline constexpr std::uint64_t kMaxFreezerBackoffNs =
     (std::uint64_t{1} << 48) - 1;
 
@@ -38,8 +33,7 @@ struct Config {
     // Number of aggregators — concurrent batches being formed.
     //   unit: count · legal range: [1, kMaxAggregators] (validate() throws
     //   outside it) · paper: §3.2, swept in §6/Figure 4, whose update-heavy
-    //   sweet spot is 2-4. With `tuning` attached this becomes the CEILING
-    //   of the runtime-active set; statically it is the exact count.
+    //   sweet spot is 2-4.
     std::size_t num_aggregators = 4;
     // Bound on concurrently-live threads using the structure; per-thread
     // publication slots are sized by this.
@@ -56,14 +50,11 @@ struct Config {
     //   unit: nanoseconds (busy-wait, steady_clock granularity) · legal
     //   range: [0, kMaxFreezerBackoffNs], validate() throws above it — 0
     //   DISABLES the wait entirely (freeze immediately; the backoff branch
-    //   is skipped, not a zero-length
-    //   spin) · paper: §3.1; swept by `secbench ablation_backoff` and
-    //   `--sweep backoff=...`. With `tuning` attached this is only the
-    //   STARTING value; the controller moves it at runtime.
+    //   is skipped, not a zero-length spin) · paper: §3.1; swept by
+    //   `secbench ablation_backoff` and `--sweep backoff=...`.
     std::uint64_t freezer_backoff_ns = 256;
     // When true, per-batch degree counters are maintained (small overhead).
-    //   paper: Table 1 metrics. Required (and forced on) for SEC@adaptive —
-    //   the counters are the controller's feedback signal.
+    //   paper: Table 1 metrics.
     bool collect_stats = false;
     // When true (the paper's stack semantics), the freezer matches
     // concurrent push/pop pairs and exchanges their values directly, so
@@ -73,13 +64,6 @@ struct Config {
     // aggregators with this forced false — batching and single-CAS combining
     // are shape-agnostic, elimination is not (DESIGN.md §12).
     bool eliminate = true;
-    // Optional runtime tuning overrides (non-owning; the pointee must
-    // outlive every structure built from this Config). When set, the hot
-    // path reads {active aggregators, freezer backoff} from it with one
-    // relaxed load per operation attempt and the values above act as
-    // ceiling/start respectively; when null, behaviour and performance are
-    // exactly the static paper configuration. See core/adaptive.hpp.
-    const TuningState* tuning = nullptr;
 
     void validate() const {
         if (num_aggregators < 1 || num_aggregators > kMaxAggregators) {
@@ -95,9 +79,9 @@ struct Config {
             throw std::invalid_argument("sec::Config: unknown mapping");
         }
         if (freezer_backoff_ns > kMaxFreezerBackoffNs) {
-            // TuningState packs the backoff into 48 bits; allowing more
-            // here would make an adaptive run silently truncate what the
-            // same Config spins statically.
+            // Malformed input, not a tuning choice: a longer window would
+            // stall every freezer for days or overflow its steady_clock
+            // deadline.
             throw std::invalid_argument(
                 "sec::Config: freezer_backoff_ns must be < 2^48");
         }
@@ -107,9 +91,7 @@ struct Config {
 // Snapshot of the degree counters (Table 1 metrics). `batched_ops` counts
 // operations that went through a frozen batch; of those, `eliminated_ops`
 // were matched push/pop pairs and `combined_ops` were applied to the central
-// structure by the combiner. Also the feedback signal of the sec::adapt
-// controller (core/adaptive.hpp), which works on per-epoch deltas of a
-// cumulative snapshot.
+// structure by the combiner.
 struct StatsSnapshot {
     std::uint64_t batches = 0;
     std::uint64_t batched_ops = 0;

@@ -4,13 +4,8 @@
 // ONE top pointer, ElimPool gives each aggregator its own spine: the last
 // shared contention point disappears, at the price of LIFO order. extract()
 // falls back to stealing from sibling spines when the local one is empty.
-// bench/ablation_pool_vs_stack.cpp measures what that buys. Reclamation is
+// `secbench ablation_pool` measures what that buys. Reclamation is
 // pluggable (sec::reclaim); EBR remains the default.
-//
-// Adaptivity note: with Config::tuning attached, combines land only on the
-// active prefix of the aggregator set, but extract()'s steal loop always
-// walks ALL num_aggregators spines — values parked on a since-deactivated
-// aggregator's spine stay reachable after a shrink.
 #pragma once
 
 #include <atomic>

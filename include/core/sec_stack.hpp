@@ -8,15 +8,9 @@
 // therefore sees at most K concurrent writers instead of one per thread,
 // which is where the paper's high-thread-count wins come from (Figure 2),
 // while keeping full LIFO semantics and per-op linearizability. Node
-// reclamation is pluggable (sec::reclaim); EBR remains the default.
-//
-// Runtime self-tuning: attach a sec::TuningState via Config::tuning (and an
-// adapt::AdaptiveController driving it) and the ACTIVE aggregator count and
-// freezer backoff follow the workload at runtime — the aggregator engine
-// re-reads both with one relaxed load per operation and tolerates the
-// active set shrinking mid-flight (core/aggregator.hpp, DESIGN.md §5). The
-// registry's SEC@adaptive variant wires this up; a plain Config keeps the
-// paper's static behaviour bit-for-bit.
+// reclamation is pluggable (sec::reclaim); EBR remains the default. K and
+// the freezer backoff are fixed per instance by its Config, as in the paper;
+// `secbench --sweep` maps the static tuning surface (DESIGN.md §5).
 #pragma once
 
 #include <atomic>

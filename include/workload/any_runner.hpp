@@ -7,7 +7,6 @@
 #pragma once
 
 #include <functional>
-#include <vector>
 
 #include "core/stack_concept.hpp"
 #include "workload/histogram.hpp"
@@ -19,16 +18,6 @@ using AnyStackFactory = std::function<AnyStack()>;
 
 // Fresh structure per run (the usual throughput measurement).
 RunResult run_throughput_any(const AnyStackFactory& make, const RunConfig& cfg);
-
-// Phase-shifting window (the `tuning` scenario's workload): cfg.duration is
-// split into equal sub-windows, one per mix in `phases`, over ONE structure
-// — e.g. push-heavy → mixed → pop-heavy inside a single run, the shape that
-// defeats any single static tuning. Workers roll from one mix's measured
-// loop into the next without a barrier (the shift is a few µs of stagger,
-// like the stop flag itself); cfg.mix is ignored. Throughput is aggregated
-// across the whole window, cfg.runs rounds on fresh structures as usual.
-RunResult run_phased_any(const AnyStackFactory& make, const RunConfig& cfg,
-                         const std::vector<OpMix>& phases);
 
 // Caller-owned structure, kept alive across runs (e.g. to read degree stats
 // afterwards — table1 / ablation scenarios).

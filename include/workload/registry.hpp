@@ -4,9 +4,9 @@
 // producing a type-erased AnyStack from {threads, optional Config, optional
 // EBR domain}. ScenarioRegistry maps a scenario name ("fig2", "latency",
 // ...) to a ~30-line function that composes the shared Table/CSV/selection
-// pipeline in ScenarioContext. The secbench CLI and the legacy per-figure
-// stub binaries are both thin layers over these two registries; adding an
-// algorithm or an experiment means one registration, not ten edited drivers.
+// pipeline in ScenarioContext. The secbench CLI is a thin layer over these
+// two registries; adding an algorithm or an experiment means one
+// registration, not ten edited drivers.
 #pragma once
 
 #include <algorithm>
@@ -208,10 +208,6 @@ private:
 // Run one registered scenario (preamble + body). Returns the scenario's
 // exit code, or 2 for an unknown name (after listing the available set).
 int run_scenario(std::string_view name, const ScenarioContext& ctx);
-
-// What the legacy per-figure stub binaries call: EnvConfig::load() + the
-// default algorithm set, no CSV sink.
-int run_legacy_scenario(std::string_view name);
 
 namespace detail {
 // Defined in src/scenarios.cpp; called once from ScenarioRegistry's

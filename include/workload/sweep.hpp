@@ -2,8 +2,7 @@
 // runs over the SEC tuning knobs (aggregator count x freezer backoff),
 // emitting long-form CSV so the paper's tuning surfaces (§6/Figure 4 and
 // the §3.1 backoff sweet spot) can be regenerated on any machine and fed
-// back into static Configs — or compared against what SEC@adaptive finds at
-// runtime (the `tuning` scenario).
+// back into static Configs (DESIGN.md §5).
 //
 //   secbench sweep --sweep agg=1:5,backoff=0:4096
 //   secbench --sweep agg=1:2,backoff=0:256 --smoke --csv sweep.csv

@@ -4,18 +4,13 @@
 # sec::exec::WorkerPool, never by a raw std::thread.
 #
 # Fails (exit 1) when `std::thread(` appears anywhere under include/, src/,
-# tests/, or bench/ outside the allowlist:
-#   * include/exec/ and src/exec_*        — the WorkerPool implementation
-#     itself (the one place allowed to spawn).
-#   * src/adaptive.cpp                    — the AdaptiveController's single
-#     long-lived controller thread. It predates WorkerPool, is not a
-#     worker (no barrier, no placement, no counters), and migrating it
-#     would couple the adaptive layer to exec for no behavioural gain.
+# tests/, or bench/ outside include/exec/ and src/exec_* — the WorkerPool
+# implementation itself, the one place allowed to spawn.
 #
 # Run from the repository root:  scripts/check_thread_spawn.sh
 set -u
 
-allow='^(include/exec/|src/exec_|src/adaptive\.cpp:)'
+allow='^(include/exec/|src/exec_)'
 
 hits=$(grep -rn 'std::thread(' include src tests bench 2>/dev/null |
        grep -Ev "$allow")
@@ -32,4 +27,4 @@ if [ -n "$hits" ]; then
     exit 1
 fi
 
-echo "check_thread_spawn: ok (std::thread( only in sec::exec + allowlist)"
+echo "check_thread_spawn: ok (std::thread( only in sec::exec)"

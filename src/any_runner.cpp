@@ -21,11 +21,10 @@ exec::PoolOptions pool_options(const RunConfig& cfg) {
 }
 
 // One timed window on `stack`; accumulates into `result`. Workers time
-// their own measured span (one_phased_round's trick, below): ops completed
-// between the coordinator's stop store and the worker's exit are real work,
-// and charging them against the coordinator's sleep window — which excludes
-// that overshoot — used to inflate short-window results by a scheduling-
-// dependent amount.
+// their own measured span: ops completed between the coordinator's stop
+// store and the worker's exit are real work, and charging them against the
+// coordinator's sleep window — which excludes that overshoot — used to
+// inflate short-window results by a scheduling-dependent amount.
 void one_round(AnyStack& stack, const RunConfig& cfg, unsigned run,
                RunResult& result) {
     using Clock = std::chrono::steady_clock;
@@ -70,68 +69,6 @@ void one_round(AnyStack& stack, const RunConfig& cfg, unsigned run,
     result.mops += us > 0 ? static_cast<double>(total) / us : 0.0;
 }
 
-// One phase-shifting window: workers run phases[0..n) back to back on the
-// same structure, each until its own stop flag; the coordinator trips the
-// flags at equal sub-window boundaries. Workers time their own measured
-// span (run_churn_any's trick): on an oversubscribed host the ops a worker
-// completes between the coordinator's last stop store and the join are real
-// work, and charging them against a window that excludes that overshoot
-// would inflate short-window results by a scheduling-dependent amount.
-void one_phased_round(AnyStack& stack, const RunConfig& cfg,
-                      const std::vector<OpMix>& phases, unsigned run,
-                      RunResult& result) {
-    using Clock = std::chrono::steady_clock;
-    const std::size_t n = phases.size();
-    std::vector<std::atomic<bool>> stops(n);
-    for (auto& s : stops) s.store(false, std::memory_order_relaxed);
-    std::vector<CacheAligned<std::uint64_t>> ops(cfg.threads);
-    std::vector<CacheAligned<Clock::time_point>> begins(cfg.threads);
-    std::vector<CacheAligned<Clock::time_point>> ends(cfg.threads);
-
-    exec::WorkerPool pool(cfg.threads, pool_options(cfg));
-    pool.start([&, run](exec::WorkerContext& wc) {
-        const unsigned t = wc.index;
-        PhaseArgs args;
-        args.value_range = cfg.value_range;
-        args.seed = phase_seed(cfg.seed, t, run, 1);
-        stack.prefill(prefill_share(cfg.prefill, cfg.threads, t), args);
-        wc.sync();
-        wc.counters_restart();
-        *begins[t] = Clock::now();
-        std::uint64_t local = 0;
-        for (std::size_t p = 0; p < n; ++p) {
-            args.mix = phases[p];
-            // Distinct salt per sub-window: each phase replays its own
-            // deterministic op sequence under --seed.
-            args.seed = phase_seed(cfg.seed, t, run, 2 + p);
-            local += stack.mixed_until(stops[p], args);
-        }
-        *ends[t] = Clock::now();
-        *ops[t] = local;
-    });
-
-    pool.sync();
-    for (std::size_t p = 0; p < n; ++p) {
-        std::this_thread::sleep_for(cfg.duration / n);
-        stops[p].store(true, std::memory_order_relaxed);
-    }
-    pool.join();
-    result.perf.merge(pool.counters());
-
-    std::uint64_t total = 0;
-    for (const auto& c : ops) total += *c;
-    Clock::time_point start = *begins[0];
-    Clock::time_point end = *ends[0];
-    for (unsigned t = 1; t < cfg.threads; ++t) {
-        if (*begins[t] < start) start = *begins[t];
-        if (*ends[t] > end) end = *ends[t];
-    }
-    const double us =
-        std::chrono::duration<double, std::micro>(end - start).count();
-    result.total_ops += total;
-    result.mops += us > 0 ? static_cast<double>(total) / us : 0.0;
-}
-
 }  // namespace
 
 RunResult run_throughput_any(const AnyStackFactory& make,
@@ -151,18 +88,6 @@ RunResult run_throughput_any(AnyStack& stack, const RunConfig& cfg) {
     if (cfg.threads == 0) return result;  // see RunConfig::threads
     for (unsigned run = 0; run < cfg.runs; ++run) {
         one_round(stack, cfg, run, result);
-    }
-    result.mops /= cfg.runs;
-    return result;
-}
-
-RunResult run_phased_any(const AnyStackFactory& make, const RunConfig& cfg,
-                         const std::vector<OpMix>& phases) {
-    RunResult result;
-    if (cfg.threads == 0 || phases.empty()) return result;
-    for (unsigned run = 0; run < cfg.runs; ++run) {
-        AnyStack stack = make();
-        one_phased_round(stack, cfg, phases, run, result);
     }
     result.mops /= cfg.runs;
     return result;

@@ -1,6 +1,5 @@
-// exec_worker_pool.cpp — the ONE thread-construction site for the
-// workload/net/test layers (scripts/check_thread_spawn.sh enforces it; the
-// only other allowed site is the adaptive controller's background thread).
+// exec_worker_pool.cpp — the ONE thread-construction site in the tree
+// (scripts/check_thread_spawn.sh enforces it).
 #include "exec/worker_pool.hpp"
 
 #include <barrier>

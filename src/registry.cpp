@@ -1,13 +1,11 @@
 // registry.cpp — AlgorithmRegistry (the six stacks + the ElimPool adapter
 // self-register here, plus the algo@reclaimer cross-product),
 // ReclaimerRegistry (the four sec::reclaim schemes), ScenarioRegistry, and
-// the shared scenario pipeline (ScenarioContext helpers, run_scenario, the
-// legacy-stub entry point).
+// the shared scenario pipeline (ScenarioContext helpers, run_scenario).
 #include "workload/registry.hpp"
 
 #include <cstdio>
 
-#include "core/adaptive.hpp"
 #include "core/elim_pool.hpp"
 #include "reclaim/reclaim.hpp"
 #include "sec.hpp"
@@ -93,50 +91,6 @@ AnyStack make_pool(const StackParams& p) {
     return erase_stack(std::make_unique<PoolStackAdapter<R>>(cfg));
 }
 
-// SEC plus the sec::adapt runtime controller, as one self-contained stack:
-// the TuningState the hot path reads, the stack wired to it, and the
-// background controller sampling the stack's degree counters every epoch.
-// Member order is the lifetime contract — the controller is declared last,
-// so it stops (joins) before the stack and the tuning state it reads die.
-struct AdaptiveSecStack {
-    using value_type = Value;
-    static constexpr ContainerShape kShape = ContainerShape::lifo;
-
-    static Config wire(Config cfg, const TuningState* tuning) {
-        cfg.collect_stats = true;  // the controller's feedback signal
-        cfg.tuning = tuning;
-        return cfg;
-    }
-
-    explicit AdaptiveSecStack(const Config& cfg)
-        : tuning(static_cast<std::uint32_t>(cfg.num_aggregators),
-                 cfg.freezer_backoff_ns),
-          stack(wire(cfg, &tuning)),
-          controller(
-              tuning, [this] { return stack.stats(); },
-              cfg.num_aggregators) {
-        controller.start();
-    }
-
-    bool push(const value_type& v) { return stack.push(v); }
-    std::optional<value_type> pop() { return stack.pop(); }
-    std::optional<value_type> peek() const { return stack.peek(); }
-    bool put(const value_type& v) { return stack.push(v); }
-    std::optional<value_type> take() { return stack.pop(); }
-    void quiesce() { stack.quiesce(); }
-    void reclaim_offline() { stack.reclaim_offline(); }
-    StatsSnapshot stats() const { return stack.stats(); }
-
-    TuningState tuning;
-    SecStack<Value> stack;
-    adapt::AdaptiveController controller;
-};
-
-AnyStack make_adaptive_sec(const StackParams& p) {
-    return erase_stack(
-        std::make_unique<AdaptiveSecStack>(effective_stack_config(p)));
-}
-
 // One "BASE@scheme" spec per reclaimer-capable structure: the cross-product
 // the `--reclaim` flag and the reclamation scenario's matrix select from.
 // TSI is blanket-only (see core/tsi_stack.hpp), so it has no @hp variant.
@@ -205,13 +159,6 @@ void register_builtin_algorithms(AlgorithmRegistry& reg) {
              ContainerShape::fifo});
     reg.add({"FCQ", "flat-combining queue", 14, false, false,
              make_plain_stack<FcQueue<Value>>, {}, {}, ContainerShape::fifo});
-    // SEC under the sec::adapt runtime controller. base is set to the full
-    // name on purpose: adaptivity is not a reclamation scheme, so --reclaim
-    // must not silently rebind SEC@adaptive to SEC@hp (it reports "no
-    // variant" and drops it instead).
-    reg.add({"SEC@adaptive",
-             "SEC self-tuning active aggregators + freezer backoff at runtime",
-             20, false, false, make_adaptive_sec, "SEC@adaptive", "ebr"});
     // The algo@reclaimer cross-product. The plain names above ARE the @ebr
     // bindings (no duplicate "@ebr" specs), so existing scenario keys and
     // CSV output are unchanged.
@@ -483,13 +430,6 @@ int run_scenario(std::string_view name, const ScenarioContext& ctx) {
     // invocation and for every direct runner call in the tests.
     advance_seed_stream();
     return rc;
-}
-
-int run_legacy_scenario(std::string_view name) {
-    ScenarioContext ctx;
-    ctx.env = EnvConfig::load();
-    ctx.algos = AlgorithmRegistry::instance().default_set();
-    return run_scenario(name, ctx);
 }
 
 }  // namespace sec::bench

@@ -1,7 +1,6 @@
 // scenarios.cpp — the paper's experiments as registry-driven scenario
 // functions. Each is a short composition of the shared ScenarioContext
-// pipeline (selection, thread-grid series, Table/CSV emission); the per-
-// figure binaries under bench/ are two-line stubs over these, and
+// pipeline (selection, thread-grid series, Table/CSV emission);
 // bench/secbench.cpp drives them from the command line.
 #include <algorithm>
 #include <chrono>
@@ -37,14 +36,6 @@ EnvConfig with_pop_prefill(EnvConfig env) {
     env.prefill = std::min<std::size_t>(
         std::max<std::size_t>(env.prefill, volume), 40'000'000);
     return env;
-}
-
-// SEC Config for one grid point with explicit knob overrides.
-Config sec_config(unsigned threads) {
-    Config cfg;
-    cfg.max_threads = tid_bound(threads);
-    cfg.num_aggregators = std::min(cfg.num_aggregators, cfg.max_threads);
-    return cfg;
 }
 
 // ---- fig2: EXP1 — throughput vs thread count, 3 mixes, all algorithms ------
@@ -123,7 +114,7 @@ void fig4_series(const ScenarioContext& ctx, Table& table, const OpMix& mix,
     for (std::size_t aggs = 1; aggs <= kMaxAggregators; ++aggs) {
         const std::string column = "SEC_Agg" + std::to_string(aggs);
         for (unsigned t : env.threads) {
-            Config cfg = sec_config(t);
+            Config cfg = effective_stack_config({.threads = t});
             cfg.num_aggregators = std::min<std::size_t>(aggs, cfg.max_threads);
             StackParams params;
             params.threads = t;
@@ -177,7 +168,7 @@ DegreeRow table1_measure(const ScenarioContext& ctx, const AlgoSpec& sec_algo,
     DegreeRow row;
     unsigned points = 0;
     for (unsigned t : ctx.env.threads) {
-        Config cfg = sec_config(t);
+        Config cfg = effective_stack_config({.threads = t});
         cfg.collect_stats = true;
         StackParams params;
         params.threads = t;
@@ -409,99 +400,6 @@ int sweep(const ScenarioContext& ctx) {
     return run_sweep(ctx, *spec);
 }
 
-// ---- tuning: static-best vs adaptive on a phase-shifting workload (§5) -----
-
-// The workload no single static config wins: push-heavy, then mixed, then
-// pop-heavy inside ONE measured window. The scenario reports each selected
-// algorithm on it, plus the best static SEC over all aggregator counts, and
-// closes with the adaptive/static-best ratio when SEC@adaptive is selected.
-int tuning(const ScenarioContext& ctx) {
-    static const std::vector<OpMix> kShiftingPhases = {
-        {"push_heavy", 80, 20},
-        {"mixed", 50, 50},
-        {"pop_heavy", 20, 80},
-    };
-    const AlgoSpec& sec_algo = *AlgorithmRegistry::instance().find("SEC");
-    std::vector<std::string> columns = ctx.columns();
-    columns.push_back("SEC_static_best");
-    Table table("tuning_phase_shift", columns);
-    std::fprintf(stderr,
-                 "phase-shifting workload: push80/20 -> 50/50 -> 20/80 in "
-                 "one window\n");
-    // Worst-case adaptive/static-best ratio across thread counts: adaptive
-    // must hold up at every operating point, so maxima taken at different
-    // thread counts must never be compared with each other.
-    double worst_ratio = -1.0;
-    double worst_adaptive = 0.0, worst_static = 0.0;
-    for (unsigned t : ctx.env.threads) {
-        RunConfig rcfg = ctx.run_config(t, kUpdateHeavy);
-        // Static-best is an argmax over noisy samples, which inflates with
-        // single-run noise; at least two runs per data point keeps the
-        // comparison against the adaptive mean honest on jittery hosts.
-        rcfg.runs = std::max(rcfg.runs, 2u);
-        // Deep enough that the pop-heavy tail can't drain the stack: a
-        // drained window degenerates into measuring EMPTY-pop returns,
-        // whose much higher rate turns "did the drain finish in time" into
-        // the dominant (and luck-driven) term. ~60% of a 25 Mops/s
-        // pop-heavy sub-window is the worst-case net drain.
-        const auto net_drain = static_cast<std::size_t>(
-            25e6 * (static_cast<double>(ctx.env.duration_ms) / 1000.0) * 0.6);
-        rcfg.prefill = std::min<std::size_t>(
-            std::max(rcfg.prefill, net_drain), 40'000'000);
-        double adaptive_at_t = -1.0;
-        for (const AlgoSpec* a : ctx.algos) {
-            StackParams params;
-            params.threads = t;
-            const RunResult r = run_phased_any(
-                [&] { return a->make(params); }, rcfg, kShiftingPhases);
-            table.add(t, a->name, r.mops);
-            progress_line(a->name, t, r.mops);
-            if (a->name == "SEC@adaptive") adaptive_at_t = r.mops;
-        }
-        // Static baseline: every aggregator count, default backoff — the
-        // best hand-pick a user could freeze into a Config.
-        double best = 0.0;
-        std::size_t best_aggs = 1;
-        for (std::size_t aggs = 1; aggs <= kMaxAggregators; ++aggs) {
-            Config cfg = sec_config(t);
-            cfg.num_aggregators = std::min<std::size_t>(aggs, cfg.max_threads);
-            StackParams params;
-            params.threads = t;
-            params.config = &cfg;
-            const RunResult r = run_phased_any(
-                [&] { return sec_algo.make(params); }, rcfg, kShiftingPhases);
-            if (r.mops > best) {
-                best = r.mops;
-                best_aggs = aggs;
-            }
-        }
-        table.add(t, "SEC_static_best", best);
-        std::fprintf(stderr, "  t=%-4u static best: agg=%zu (%.2f Mops/s)\n",
-                     t, best_aggs, best);
-        if (adaptive_at_t >= 0.0 && best > 0.0) {
-            const double ratio = adaptive_at_t / best;
-            ctx.csv_row("tuning_summary", std::to_string(t),
-                        "adaptive_over_static_best", ratio);
-            if (worst_ratio < 0.0 || ratio < worst_ratio) {
-                worst_ratio = ratio;
-                worst_adaptive = adaptive_at_t;
-                worst_static = best;
-            }
-        }
-    }
-    ctx.emit(table);
-    if (worst_ratio >= 0.0) {
-        std::printf(
-            "# adaptive/static-best = %.2f worst-case across the grid "
-            "(adaptive %.2f vs static best %.2f Mops/s)%s\n",
-            worst_ratio, worst_adaptive, worst_static,
-            worst_ratio >= 0.9 ? "" : "  [below the 10%-of-best target]");
-        ctx.csv_row("tuning_summary", "worst",
-                    "adaptive_over_static_best", worst_ratio);
-    }
-    return 0;
-}
-
 // ---- ablation_backoff: freezer backoff window sweep (DESIGN.md §6) ---------
 
 int ablation_backoff(const ScenarioContext& ctx) {
@@ -514,7 +412,7 @@ int ablation_backoff(const ScenarioContext& ctx) {
     for (auto w : kWindowsNs) {
         const std::string column = "bo" + std::to_string(w);
         for (unsigned t : ctx.env.threads) {
-            Config cfg = sec_config(t);
+            Config cfg = effective_stack_config({.threads = t});
             cfg.freezer_backoff_ns = w;
             cfg.collect_stats = true;
             StackParams params;
@@ -546,7 +444,7 @@ int ablation_mapping(const ScenarioContext& ctx) {
     };
     for (const auto& [mapping, column] : mappings) {
         for (unsigned t : ctx.env.threads) {
-            Config cfg = sec_config(t);
+            Config cfg = effective_stack_config({.threads = t});
             cfg.mapping = mapping;
             StackParams params;
             params.threads = t;
@@ -580,7 +478,7 @@ int ablation_pool(const ScenarioContext& ctx) {
         double pool_mops[2] = {0, 0};
         int i = 0;
         for (std::size_t k : {std::size_t{2}, std::size_t{4}}) {
-            Config cfg = sec_config(t);
+            Config cfg = effective_stack_config({.threads = t});
             cfg.num_aggregators = std::min<std::size_t>(k, cfg.max_threads);
             StackParams pp;
             pp.threads = t;
@@ -731,7 +629,7 @@ int sharding(const ScenarioContext& ctx) {
         for (std::size_t ki = 0; ki < ks.size(); ++ki) {
             const std::size_t k = ks[ki];
             const std::string& column = columns[1 + ki];
-            const Config cfg = sec_config(t);
+            const Config cfg = effective_stack_config({.threads = t});
             shard::ShardStats ss;
             const RunResult r = point(cfg, k, rcfg, &ss);
             table.add(t, column, r.mops);
@@ -1186,9 +1084,6 @@ void register_builtin_scenarios(ScenarioRegistry& reg) {
     reg.add({"sweep",
              "SEC tuning surface: (agg x backoff) cross-product (--sweep)",
              sweep});
-    reg.add({"tuning",
-             "static-best vs SEC@adaptive on a phase-shifting workload",
-             tuning});
     reg.add({"ablation_backoff", "freezer backoff window sweep (DESIGN.md §6)",
              ablation_backoff});
     reg.add({"ablation_mapping",

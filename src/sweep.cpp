@@ -26,10 +26,10 @@ constexpr std::size_t kMaxValuesPerKnob = 64;
 // "lo", "lo:hi", or "lo:hi:step" into an inclusive value list. Without an
 // explicit step, `agg` ranges step by 1 and `backoff` ranges double from
 // the 64ns quantum (a 0 lower bound contributes the backoff-disabled
-// point) — the ladder the adaptive controller climbs, so a sweep covers
-// exactly the points the controller can reach. Every loop is bounded by
-// kMaxValuesPerKnob and guarded against std::uint64_t wrap-around, so a
-// hostile range errors out instead of hanging or exhausting memory.
+// point), so one range covers every power-of-two window. Every loop is
+// bounded by kMaxValuesPerKnob and guarded against std::uint64_t
+// wrap-around, so a hostile range errors out instead of hanging or
+// exhausting memory.
 bool expand_range(std::string_view field, bool geometric,
                   std::vector<std::uint64_t>& out) {
     const auto c1 = field.find(':');
@@ -228,8 +228,7 @@ int run_sweep(const ScenarioContext& ctx, const SweepSpec& spec) {
             const std::string& column = columns[ci++];
             for (std::size_t ti = 0; ti < ctx.env.threads.size(); ++ti) {
                 const unsigned t = ctx.env.threads[ti];
-                Config cfg;
-                cfg.max_threads = tid_bound(t);
+                Config cfg = effective_stack_config({.threads = t});
                 cfg.num_aggregators =
                     std::min<std::size_t>(aggs, cfg.max_threads);
                 cfg.freezer_backoff_ns = backoff;

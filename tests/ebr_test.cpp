@@ -1,7 +1,7 @@
 // ebr_test.cpp — sec::ebr::Domain accounting: retired = freed + limbo after
 // churn, limbo drains once the epoch can advance, and the destructor frees
-// whatever backlog remains (the contract bench/memory_reclamation.cpp
-// reports against).
+// whatever backlog remains (the contract `secbench reclamation` reports
+// against).
 #include <gtest/gtest.h>
 
 #include <atomic>

@@ -8,7 +8,6 @@
 #include <set>
 #include <string>
 
-#include "../bench/bench_common.hpp"
 #include "sec.hpp"
 #include "workload/any_runner.hpp"
 #include "workload/registry.hpp"
@@ -110,20 +109,6 @@ TEST(Runner, ZeroThreadsIsGuardedNotDividedBy) {
     EXPECT_EQ(erased.total_ops, 0u);
 }
 
-// The statically-typed compatibility path (bench_common.hpp) fills the same
-// table schema as the registry-driven series.
-TEST(BenchCommon, StaticRunSeriesMatchesTableSchema) {
-    sb::EnvConfig env;
-    env.threads = {2};
-    env.duration_ms = 10;
-    env.runs = 1;
-    env.prefill = 64;
-    sb::Table table("compat", sb::algorithm_columns());
-    sb::run_series<sec::TreiberStack<sb::Value>>(table, env, sec::kUpdateHeavy,
-                                                 "TRB");
-    EXPECT_EQ(table.name(), "compat");
-}
-
 TEST(AnyRunner, ThroughputRunsThroughTheErasedPath) {
     sb::RunConfig cfg;
     cfg.threads = 2;
@@ -144,7 +129,7 @@ TEST(ScenarioRegistry, ListsAtLeastEightScenarios) {
     EXPECT_GE(reg.all().size(), 8u);
     for (const char* name :
          {"fig2", "fig3", "fig4", "table1", "latency", "reclamation",
-          "sweep", "tuning", "ablation_backoff", "ablation_mapping",
+          "sweep", "ablation_backoff", "ablation_mapping",
           "ablation_pool", "sharding", "micro"}) {
         EXPECT_NE(reg.find(name), nullptr) << name;
     }

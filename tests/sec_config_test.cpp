@@ -1,5 +1,5 @@
 // sec_config_test.cpp — Config validation and the stats plumbing behind
-// bench/table1_degrees.cpp: aggregator counts 1-5, both mapping modes, and
+// `secbench table1`: aggregator counts 1-5, both mapping modes, and
 // collect_stats yielding non-zero batching/elimination degrees on an
 // update-heavy mix.
 #include <gtest/gtest.h>
@@ -27,13 +27,11 @@ TEST(SecConfigTest, RejectsAggregatorCountOutOfRange) {
     EXPECT_THROW(Stack{cfg}, std::invalid_argument);
 }
 
-TEST(SecConfigTest, RejectsBackoffBeyondTuningStateRange) {
+TEST(SecConfigTest, RejectsBackoffBeyondMaxWindow) {
     sec::Config cfg;
     cfg.freezer_backoff_ns = sec::kMaxFreezerBackoffNs;
     cfg.validate();  // the bound itself is legal
     cfg.freezer_backoff_ns = sec::kMaxFreezerBackoffNs + 1;
-    // Beyond 48 bits a TuningState would silently truncate what the same
-    // Config spins statically.
     EXPECT_THROW(Stack{cfg}, std::invalid_argument);
 }
 
@@ -133,12 +131,12 @@ TEST(SecConfigTest, CollectStatsYieldsDegreesOnUpdateHeavyMix) {
 
 // Regression: stats() used to sum the counters with bare relaxed loads
 // while freezers publish them with lock-serialized load+store, so a MID-RUN
-// snapshot (the adaptive controller's feedback read, table1's per-point
-// stream) could tear across counters — batched already bumped, eliminated
-// not yet — breaking eliminated + combined == batched and under-counting
-// whole batches. stats() now takes each aggregator's freezer lock, making
-// every snapshot batch-atomic; this hammers snapshots under live churn and
-// checks the cross-counter invariant plus per-counter monotonicity.
+// snapshot (table1's per-point stream) could tear across counters —
+// batched already bumped, eliminated not yet — breaking eliminated +
+// combined == batched and under-counting whole batches. stats() now takes
+// each aggregator's freezer lock, making every snapshot batch-atomic; this
+// hammers snapshots under live churn and checks the cross-counter
+// invariant plus per-counter monotonicity.
 TEST(SecConfigTest, StatsSnapshotIsConsistentUnderConcurrentLoad) {
     sec::Config cfg;
     cfg.max_threads = 16;

@@ -92,9 +92,9 @@ TEST(ServiceRun, ModestLoadDrainsCompletely) {
     EXPECT_GT(r.window_s, 0.0);
 }
 
-TEST(ServiceRun, ComposesWithShardedAdaptiveAndHpVariants) {
-    for (const char* algo : {"TRB", "FC", "SEC@shard2", "SEC@adaptive",
-                             "SEC@hp", "SEC@qsbr"}) {
+TEST(ServiceRun, ComposesWithShardedAndHpVariants) {
+    for (const char* algo :
+         {"TRB", "FC", "SEC@shard2", "SEC@hp", "SEC@qsbr"}) {
         SCOPED_TRACE(algo);
         sb::ServiceConfig cfg;
         cfg.producers = 1;
