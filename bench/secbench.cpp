@@ -9,16 +9,19 @@
 // Defaults layer over EnvConfig, so the SEC_BENCH_* environment knobs (and
 // SEC_BENCH_PAPER=1) keep working; explicit flags win over the environment.
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/sharded_stack.hpp"
 #include "exec/topology.hpp"
-#include "net/event_loop.hpp"
 #include "workload/bench_json.hpp"
+#include "workload/env.hpp"
 #include "workload/registry.hpp"
 #include "workload/service.hpp"
 
@@ -66,9 +69,6 @@ int usage(std::FILE* out) {
                  "running secserve on\n"
                  "                     127.0.0.1:N instead of an in-process "
                  "server\n"
-                 "  --backend NAME     sec::net event backend: epoll | "
-                 "iouring (iouring\n"
-                 "                     needs a -DSEC_IOURING=ON build)\n"
                  "  --pin POLICY       worker placement: none | compact | "
                  "scatter | smt\n"
                  "                     (topology-aware cpu pinning; "
@@ -97,8 +97,7 @@ int usage(std::FILE* out) {
                  "  --paper            the paper's 5 s x 5-run methodology\n"
                  "environment: SEC_BENCH_DURATION_MS / _RUNS / _THREADS / "
                  "_PREFILL / _VALUE_RANGE / _SEED / _RECLAIM / _SHARDS / "
-                 "_LOAD / _ARRIVAL / _PORT / _BACKEND / _PIN / _COUNTERS / "
-                 "_PAPER\n");
+                 "_LOAD / _ARRIVAL / _PORT / _PIN / _COUNTERS / _PAPER\n");
     return out == stderr ? 2 : 0;
 }
 
@@ -118,18 +117,9 @@ int list_registries() {
     for (const sb::ReclaimerSpec* r : sb::ReclaimerRegistry::instance().all()) {
         std::printf("  %-18s %s\n", r->name.c_str(), r->description.c_str());
     }
-    std::printf("net backends (--backend / SEC_BENCH_BACKEND):\n");
-    for (const sec::net::BackendInfo& b : sec::net::backend_infos()) {
-        std::printf("  %-18s %.*s%s\n", std::string(b.name).c_str(),
-                    static_cast<int>(b.description.size()),
-                    b.description.data(),
-                    b.available ? "" : " [not in this build]");
-    }
     std::printf(
         "net env: SEC_BENCH_PORT (net_service/secserve target port; 0 or\n"
-        "unset = in-process server on an ephemeral port), SEC_BENCH_BACKEND\n"
-        "(event backend name, whole-value-or-nothing like every other "
-        "knob)\n");
+        "unset = in-process server on an ephemeral port)\n");
     return 0;
 }
 
@@ -177,15 +167,15 @@ int main(int argc, char** argv) {
     double load_kops = 0;
     const char* arrival = nullptr;
     long long port = -1;  // -1 = not given (0 is a valid "in-process" value)
-    const char* backend = nullptr;
     const char* pin = nullptr;
     bool smoke = false;
     bool run_all = false;
 
-    // Flags that override EnvConfig after it loads (0 / empty = not given).
+    // Flags that override EnvConfig after it loads (0 / empty / nullopt =
+    // not given).
     unsigned duration_ms = 0, runs = 0;
-    long long prefill = -1, value_range = -1;
-    long long seed = -1;
+    std::size_t value_range = 0;
+    std::optional<std::uint64_t> prefill, seed;
     std::vector<unsigned> thread_grid;
 
     auto next_value = [&](int& i, const char* flag) -> const char* {
@@ -195,6 +185,24 @@ int main(int argc, char** argv) {
         }
         return argv[++i];
     };
+    // Numeric flags parse like their SEC_BENCH_* twins (workload/env.hpp),
+    // but a bad value is an error here, as for --shards.
+    auto unsigned_value = [&](int& i, const char* flag,
+                              std::uint64_t max) -> std::uint64_t {
+        const char* value = next_value(i, flag);
+        std::uint64_t parsed = 0;
+        if (!sb::parse_u64_strict(value, parsed) || parsed > max) {
+            std::fprintf(stderr,
+                         "secbench: %s '%s' must be an unsigned integer no "
+                         "larger than %llu\n",
+                         flag, value, static_cast<unsigned long long>(max));
+            std::exit(2);
+        }
+        return parsed;
+    };
+    constexpr std::uint64_t kMaxUnsigned =
+        std::numeric_limits<unsigned>::max();
+    constexpr std::uint64_t kMaxSize = std::numeric_limits<std::size_t>::max();
 
     for (int i = 1; i < argc; ++i) {
         const char* arg = argv[i];
@@ -205,20 +213,25 @@ int main(int argc, char** argv) {
         } else if (std::strcmp(arg, "--algos") == 0) {
             algo_names = split_csv(next_value(i, arg));
         } else if (std::strcmp(arg, "--threads") == 0) {
-            for (const std::string& s : split_csv(next_value(i, arg))) {
-                const unsigned long v = std::strtoul(s.c_str(), nullptr, 10);
-                if (v > 0) thread_grid.push_back(static_cast<unsigned>(v));
+            const char* value = next_value(i, arg);
+            thread_grid = sb::parse_grid(value);
+            if (thread_grid.empty()) {
+                std::fprintf(stderr,
+                             "secbench: --threads '%s' must be a list of "
+                             "positive integers\n",
+                             value);
+                return 2;
             }
         } else if (std::strcmp(arg, "--duration-ms") == 0) {
             duration_ms = static_cast<unsigned>(
-                std::strtoul(next_value(i, arg), nullptr, 10));
+                unsigned_value(i, arg, kMaxUnsigned));
         } else if (std::strcmp(arg, "--runs") == 0) {
-            runs = static_cast<unsigned>(
-                std::strtoul(next_value(i, arg), nullptr, 10));
+            runs = static_cast<unsigned>(unsigned_value(i, arg, kMaxUnsigned));
         } else if (std::strcmp(arg, "--prefill") == 0) {
-            prefill = std::strtoll(next_value(i, arg), nullptr, 10);
+            prefill = unsigned_value(i, arg, kMaxSize);
         } else if (std::strcmp(arg, "--value-range") == 0) {
-            value_range = std::strtoll(next_value(i, arg), nullptr, 10);
+            value_range =
+                static_cast<std::size_t>(unsigned_value(i, arg, kMaxSize));
         } else if (std::strcmp(arg, "--csv") == 0) {
             csv_path = next_value(i, arg);
         } else if (std::strcmp(arg, "--json") == 0) {
@@ -252,7 +265,8 @@ int main(int argc, char** argv) {
                 return 2;
             }
         } else if (std::strcmp(arg, "--seed") == 0) {
-            seed = std::strtoll(next_value(i, arg), nullptr, 10);
+            seed = unsigned_value(i, arg,
+                                  std::numeric_limits<std::uint64_t>::max());
         } else if (std::strcmp(arg, "--reclaim") == 0) {
             reclaim_scheme = next_value(i, arg);
         } else if (std::strcmp(arg, "--sweep") == 0) {
@@ -295,15 +309,6 @@ int main(int argc, char** argv) {
                 return 2;
             }
             port = parsed;
-        } else if (std::strcmp(arg, "--backend") == 0) {
-            backend = next_value(i, arg);
-            if (!sec::net::backend_known(backend)) {
-                std::fprintf(stderr,
-                             "secbench: --backend '%s' must be epoll or "
-                             "iouring\n",
-                             backend);
-                return 2;
-            }
         } else if (std::strcmp(arg, "--pin") == 0) {
             // Strict like --shards: a typo must not silently run unpinned
             // and masquerade as a placement measurement.
@@ -403,10 +408,9 @@ int main(int argc, char** argv) {
         }
     }
     if (arrival != nullptr) ctx.arrival = arrival;
-    // SEC_BENCH_PORT / SEC_BENCH_BACKEND already sit in ctx.env (strict
-    // parsing with loud warnings in EnvConfig::load); flags override.
+    // SEC_BENCH_PORT already sits in ctx.env (strict parsing with a loud
+    // warning in EnvConfig::load); the flag overrides.
     if (port >= 0) ctx.env.port = static_cast<unsigned>(port);
-    if (backend != nullptr) ctx.env.backend = backend;
     if (smoke) {
         // Tiny budget: every scenario exercised, nothing measured seriously.
         ctx.env.duration_ms = 25;
@@ -461,11 +465,9 @@ int main(int argc, char** argv) {
     if (pin != nullptr) ctx.env.pin = pin;
     if (duration_ms > 0) ctx.env.duration_ms = duration_ms;
     if (runs > 0) ctx.env.runs = runs;
-    if (prefill >= 0) ctx.env.prefill = static_cast<std::size_t>(prefill);
-    if (value_range > 0) {
-        ctx.env.value_range = static_cast<std::size_t>(value_range);
-    }
-    if (seed >= 0) ctx.env.seed = static_cast<std::uint64_t>(seed);
+    if (prefill) ctx.env.prefill = static_cast<std::size_t>(*prefill);
+    if (value_range > 0) ctx.env.value_range = value_range;
+    if (seed) ctx.env.seed = *seed;
     if (!thread_grid.empty()) {
         // Same live-thread bound the environment path applies in
         // EnvConfig::load — a warned clamp, not a silent rewrite.

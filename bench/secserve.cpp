@@ -1,10 +1,10 @@
 // secserve — the standalone sec::net server (DESIGN.md §11): any
 // registry-built stack behind a TCP port, servable by a second process.
 //
-//   secserve --algo SEC@shard4 --port 7777 --backend epoll
+//   secserve --algo SEC@shard4 --port 7777
 //
-// Defaults come from the environment (SEC_BENCH_PORT / SEC_BENCH_BACKEND,
-// strict parsing in workload/env.hpp); flags override. Port 0 binds an
+// Defaults come from the environment (SEC_BENCH_PORT / SEC_BENCH_PIN, strict
+// parsing in workload/env.hpp); flags override. Port 0 binds an
 // ephemeral port — the bound port is printed on stdout (flushed) so a
 // wrapper script can read it. Runs until SIGINT/SIGTERM, then prints the
 // server counters and exits 0.
@@ -29,19 +29,15 @@ void on_signal(int) { g_stop.store(true, std::memory_order_release); }
 void usage() {
     std::fprintf(
         stderr,
-        "usage: secserve [--algo NAME] [--port N] [--backend NAME]\n"
-        "                [--pin POLICY] [--list]\n"
+        "usage: secserve [--algo NAME] [--port N] [--pin POLICY] [--list]\n"
         "  --algo NAME     registry algorithm to serve (default SEC);\n"
         "                  any ALGO@scheme name, e.g. SEC@shard4\n"
         "  --port N        TCP port on 127.0.0.1 (default SEC_BENCH_PORT,\n"
         "                  else 0 = ephemeral; the bound port is printed)\n"
-        "  --backend NAME  event backend (default SEC_BENCH_BACKEND, else\n"
-        "                  epoll); iouring needs -DSEC_IOURING=ON\n"
         "  --pin POLICY    pin the event-loop thread: none | compact |\n"
         "                  scatter | smt (default SEC_BENCH_PIN, else none)\n"
-        "  --list          print algorithms and backends, then exit\n"
-        "env: SEC_BENCH_PORT, SEC_BENCH_BACKEND, SEC_BENCH_PIN "
-        "(see secbench --list)\n");
+        "  --list          print algorithms, then exit\n"
+        "env: SEC_BENCH_PORT, SEC_BENCH_PIN (see secbench --list)\n");
 }
 
 bool parse_port(const char* v, unsigned& out) {
@@ -61,7 +57,6 @@ int main(int argc, char** argv) {
     sec::bench::EnvConfig env = sec::bench::EnvConfig::load();
     std::string algo = "SEC";
     unsigned port = env.port;
-    std::string backend = env.backend;
     std::string pin = env.pin;
 
     for (int i = 1; i < argc; ++i) {
@@ -84,13 +79,6 @@ int main(int argc, char** argv) {
                 std::printf("  %-12s %s\n", a->name.c_str(),
                             a->description.c_str());
             }
-            std::printf("backends:\n");
-            for (const auto& b : sec::net::backend_infos()) {
-                std::printf("  %-12s %.*s%s\n", std::string(b.name).c_str(),
-                            static_cast<int>(b.description.size()),
-                            b.description.data(),
-                            b.available ? "" : " [not in this build]");
-            }
             return 0;
         }
         if (arg == "--algo") {
@@ -108,19 +96,6 @@ int main(int argc, char** argv) {
                              v ? v : "");
                 return 2;
             }
-            continue;
-        }
-        if (arg == "--backend") {
-            const char* v = need_value();
-            if (v == nullptr) return 2;
-            if (!sec::net::backend_known(v)) {
-                std::fprintf(stderr,
-                             "secserve: unknown backend '%s' (epoll, "
-                             "iouring)\n",
-                             v);
-                return 2;
-            }
-            backend = v;
             continue;
         }
         if (arg == "--pin") {
@@ -160,7 +135,6 @@ int main(int argc, char** argv) {
 
     sec::net::ServerConfig cfg;
     cfg.port = static_cast<std::uint16_t>(port);
-    cfg.backend = backend;
     cfg.pin = sec::topo::parse_pin_policy(pin).value_or(
         sec::topo::PinPolicy::kNone);
     sec::net::SecServer server(std::move(stack), std::move(cfg));
@@ -173,10 +147,8 @@ int main(int argc, char** argv) {
     std::signal(SIGINT, on_signal);
     std::signal(SIGTERM, on_signal);
 
-    std::printf("secserve: listening on 127.0.0.1:%u algo=%s backend=%.*s\n",
-                static_cast<unsigned>(server.port()), spec->name.c_str(),
-                static_cast<int>(server.backend_name().size()),
-                server.backend_name().data());
+    std::printf("secserve: listening on 127.0.0.1:%u algo=%s\n",
+                static_cast<unsigned>(server.port()), spec->name.c_str());
     std::fflush(stdout);
 
     while (!g_stop.load(std::memory_order_acquire)) {

@@ -58,10 +58,6 @@ public:
     void quiesce() noexcept {}
     void offline() noexcept {}
 
-    // Accounting compatibility surface (sec::ebr::Domain API).
-    std::uint64_t retired_count() const noexcept { return stats().retired; }
-    std::uint64_t freed_count() const noexcept { return stats().freed; }
-    std::uint64_t in_limbo() const noexcept { return stats().in_limbo(); }
     std::uint64_t epoch() const noexcept { return core_.epoch(); }
 
     // Prefer the Guard RAII wrapper. Nestable.

@@ -14,7 +14,6 @@
 #include "core/config.hpp"
 #include "core/container_concept.hpp"
 #include "core/eb_stack.hpp"
-#include "core/ebr.hpp"
 #include "core/fc_queue.hpp"
 #include "core/fc_stack.hpp"
 #include "core/ms_queue.hpp"

@@ -12,8 +12,6 @@
 //   SEC_BENCH_PORT         sec::net TCP port (net_service / secserve);
 //                          0 or unset = in-process server on an ephemeral
 //                          port
-//   SEC_BENCH_BACKEND      sec::net event backend: "epoll" (default) or
-//                          "iouring" (-DSEC_IOURING=ON builds)
 //   SEC_BENCH_PIN          worker placement policy: "none" (default),
 //                          "compact", "scatter", or "smt" — see
 //                          exec/topology.hpp
@@ -23,9 +21,8 @@
 //
 // Values that don't parse as clean unsigned integers (trailing junk, signs,
 // "abc") are rejected with a stderr warning and the default kept — never
-// silently read as 0 or a truncated prefix. The same whole-value-or-nothing
-// policy covers SEC_BENCH_BACKEND: an unknown backend name warns and keeps
-// the default instead of silently measuring a different event loop.
+// silently read as 0 or a truncated prefix. secbench's numeric flags use the
+// same parsers below, but reject a bad value with exit status 2.
 #pragma once
 
 #include <cstddef>
@@ -43,10 +40,9 @@ struct EnvConfig {
     std::size_t prefill = 1000;  // the paper's prefill
     std::size_t value_range = std::size_t{1} << 20;
     std::uint64_t seed = 0;  // base for per-worker RNG seeds (0 = legacy)
-    // sec::net knobs (SEC_BENCH_PORT / SEC_BENCH_BACKEND). port 0 = "no
-    // external server": net_service spawns its own on an ephemeral port.
+    // sec::net target (SEC_BENCH_PORT). port 0 = "no external server":
+    // net_service spawns its own on an ephemeral port.
     unsigned port = 0;
-    std::string backend{};  // "" = the default backend ("epoll")
     // Placement policy name (SEC_BENCH_PIN / --pin), pre-validated against
     // topo::parse_pin_policy. "" = "none" = unpinned.
     std::string pin{};
@@ -57,6 +53,17 @@ struct EnvConfig {
 
     static EnvConfig load();
 };
+
+// Strict digits-only parse of an unsigned decimal. False on empty input,
+// signs, spaces, trailing junk or overflow: "abc" must not read as 0 and
+// "2OO" must not read as 2, which is what a bare strtoul gave.
+bool parse_u64_strict(const char* v, std::uint64_t& out);
+
+// Whole-grid-or-nothing parse of a comma/space-separated thread grid. Every
+// token must be a positive integer that fits `unsigned`; one bad token
+// rejects the grid (empty result), because silently dropping the tail of
+// "4,8,x16" runs a different experiment than the one asked for.
+std::vector<unsigned> parse_grid(const char* csv);
 
 // Clamp every entry of a thread grid to the library's live-thread bound
 // (kMaxThreads minus head-room for the coordinator/main/gtest threads),

@@ -55,7 +55,6 @@ std::size_t payload_size(MsgType type) noexcept {
 
 void encode(const Message& msg, std::vector<std::uint8_t>& out) {
     const std::size_t payload = payload_size(msg.type);
-    out.reserve(out.size() + kHeaderBytes + payload);
     put_u32(out, static_cast<std::uint32_t>(payload));
     put_u8(out, static_cast<std::uint8_t>(msg.type));
     put_u64(out, msg.tag);

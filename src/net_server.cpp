@@ -1,7 +1,10 @@
 // net_server.cpp — SecServer implementation (net/server.hpp).
 //
-// Single-threaded event loop over an EventBackend. Batch discipline: every
-// wait() batch is fully drained — accept to EAGAIN, read each ready
+// Single-threaded event loop over one epoll descriptor, level-triggered on
+// purpose: the loop drains a ready socket to EAGAIN inside the batch anyway,
+// and level-triggering keeps the "re-notify until drained" invariant without
+// edge-trigger resubscription subtleties. Batch discipline: every
+// epoll_wait() batch is fully drained — accept to EAGAIN, read each ready
 // connection to EAGAIN, decode every complete frame, apply it to the stack,
 // buffer the response — then each touched connection is flushed once. The
 // per-op AnyStack virtuals are fine here: a request already paid a syscall
@@ -17,6 +20,7 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -24,7 +28,10 @@
 namespace sec::net {
 namespace {
 
-constexpr std::size_t kEventCap = 128;
+constexpr int kEventCap = 128;
+// stop() wakes the loop through the eventfd; the timeout only bounds how
+// long the loop can miss the stop flag if that wake is lost.
+constexpr int kWaitTimeoutMs = 200;
 constexpr std::size_t kReadChunk = 16 * 1024;
 // A connection whose decoded-but-unflushed output exceeds this is falling
 // behind pathologically (the protocol is request/response with tiny
@@ -42,10 +49,6 @@ SecServer::SecServer(AnyStack stack, ServerConfig cfg)
     : stack_(std::move(stack)), cfg_(std::move(cfg)) {}
 
 SecServer::~SecServer() { stop(); }
-
-std::string_view SecServer::backend_name() const noexcept {
-    return backend_ ? backend_->name() : std::string_view{};
-}
 
 ServerStats SecServer::stats() const {
     ServerStats s;
@@ -65,13 +68,15 @@ bool SecServer::start(std::string* err) {
         if (err != nullptr) *err = what;
         if (listen_fd_ >= 0) ::close(listen_fd_);
         if (wake_fd_ >= 0) ::close(wake_fd_);
-        listen_fd_ = wake_fd_ = -1;
-        backend_.reset();
+        if (epoll_fd_ >= 0) ::close(epoll_fd_);
+        listen_fd_ = wake_fd_ = epoll_fd_ = -1;
         return false;
     };
 
-    backend_ = make_event_backend(cfg_.backend, err);
-    if (!backend_) return false;  // err already carries the reason
+    epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
+    if (epoll_fd_ < 0) {
+        return fail(std::string("epoll_create1: ") + std::strerror(errno));
+    }
 
     listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
     if (listen_fd_ < 0) {
@@ -109,10 +114,9 @@ bool SecServer::start(std::string* err) {
         return fail(std::string("eventfd: ") + std::strerror(errno));
     }
 
-    std::string backend_err;
-    if (!backend_->add(listen_fd_, false, &backend_err) ||
-        !backend_->add(wake_fd_, false, &backend_err)) {
-        return fail("backend add: " + backend_err);
+    if (!watch(EPOLL_CTL_ADD, listen_fd_, false) ||
+        !watch(EPOLL_CTL_ADD, wake_fd_, false)) {
+        return fail(std::string("epoll_ctl(ADD): ") + std::strerror(errno));
     }
 
     stop_.store(false, std::memory_order_release);
@@ -138,39 +142,46 @@ void SecServer::stop() {
     conns_.clear();
     ::close(listen_fd_);
     ::close(wake_fd_);
-    listen_fd_ = wake_fd_ = -1;
-    backend_.reset();
+    ::close(epoll_fd_);
+    listen_fd_ = wake_fd_ = epoll_fd_ = -1;
 }
 
 void SecServer::loop() {
-    IoEvent events[kEventCap];
+    epoll_event events[kEventCap];
     while (!stop_.load(std::memory_order_acquire)) {
-        const int n = backend_->wait(events, kEventCap, 200);
-        if (n < 0) break;  // non-retryable backend failure
+        const int n = ::epoll_wait(epoll_fd_, events, kEventCap,
+                                   kWaitTimeoutMs);
+        if (n < 0) {
+            if (errno == EINTR) continue;
+            break;  // non-retryable epoll failure
+        }
         std::uint64_t batch_requests = 0;
         for (int i = 0; i < n; ++i) {
-            const IoEvent& ev = events[i];
-            if (ev.fd == listen_fd_) {
+            const int fd = events[i].data.fd;
+            const std::uint32_t ready = events[i].events;
+            if (fd == listen_fd_) {
                 accept_ready();
                 continue;
             }
-            if (ev.fd == wake_fd_) {
+            if (fd == wake_fd_) {
                 std::uint64_t drain = 0;
                 [[maybe_unused]] const auto r =
                     ::read(wake_fd_, &drain, sizeof(drain));
                 continue;
             }
-            const auto it = conns_.find(ev.fd);
+            const auto it = conns_.find(fd);
             if (it == conns_.end()) continue;  // closed earlier this batch
             Conn& conn = it->second;
-            bool alive = !ev.error;
-            if (alive && ev.readable) {
-                alive = conn_readable(ev.fd, conn, batch_requests);
+            // Error or hangup closes the connection without a read.
+            bool alive = (ready & (EPOLLERR | EPOLLHUP)) == 0;
+            if (alive && (ready & EPOLLIN) != 0) {
+                alive = conn_readable(fd, conn, batch_requests);
             }
-            if (alive && (ev.writable || conn.out.size() > conn.out_off)) {
-                alive = flush(ev.fd, conn);
+            if (alive &&
+                ((ready & EPOLLOUT) != 0 || conn.out.size() > conn.out_off)) {
+                alive = flush(fd, conn);
             }
-            if (!alive) close_conn(ev.fd);
+            if (!alive) close_conn(fd);
         }
         if (batch_requests > 0) {
             batches_.fetch_add(1, std::memory_order_relaxed);
@@ -193,8 +204,7 @@ void SecServer::accept_ready() {
         }
         const int one = 1;
         ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-        std::string err;
-        if (!backend_->add(fd, false, &err)) {
+        if (!watch(EPOLL_CTL_ADD, fd, false)) {
             ::close(fd);
             continue;
         }
@@ -205,7 +215,7 @@ void SecServer::accept_ready() {
 
 bool SecServer::conn_readable(int fd, Conn& conn,
                               std::uint64_t& batch_requests) {
-    // Drain the socket to EAGAIN — level-triggered backends would re-notify
+    // Drain the socket to EAGAIN — level-triggered epoll would re-notify
     // anyway, but draining keeps the whole readiness batch's requests inside
     // this aggregation window.
     for (;;) {
@@ -295,7 +305,7 @@ bool SecServer::flush(int fd, Conn& conn) {
                 // No write interest registered means buffered replies would
                 // only ever flush piggybacked on a read event; if the
                 // registration fails, drop the connection instead.
-                if (!backend_->modify(fd, true)) return false;
+                if (!watch(EPOLL_CTL_MOD, fd, true)) return false;
                 conn.want_write = true;
             }
             return true;  // keep the connection; retry on writability
@@ -306,15 +316,22 @@ bool SecServer::flush(int fd, Conn& conn) {
     conn.out_off = 0;
     if (conn.want_write) {
         conn.want_write = false;
-        backend_->modify(fd, false);
+        watch(EPOLL_CTL_MOD, fd, false);
     }
     return true;
 }
 
 void SecServer::close_conn(int fd) {
-    backend_->remove(fd);
+    ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
     ::close(fd);
     conns_.erase(fd);
+}
+
+bool SecServer::watch(int op, int fd, bool want_write) {
+    epoll_event ev{};
+    ev.events = EPOLLIN | (want_write ? EPOLLOUT : 0u);
+    ev.data.fd = fd;
+    return ::epoll_ctl(epoll_fd_, op, fd, &ev) == 0;
 }
 
 }  // namespace sec::net

@@ -1,7 +1,8 @@
-// ebr_test.cpp — sec::ebr::Domain accounting: retired = freed + limbo after
-// churn, limbo drains once the epoch can advance, and the destructor frees
-// whatever backlog remains (the contract `secbench reclamation` reports
-// against).
+// ebr_test.cpp — sec::reclaim::EpochDomain accounting: retired = freed +
+// limbo after churn, limbo drains once the epoch can advance, and the
+// destructor frees whatever backlog remains (the contract `secbench
+// reclamation` reports against). Each accounting check reads one stats()
+// snapshot, so its counters are consistent with each other.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -9,10 +10,14 @@
 #include <thread>  // std::this_thread::yield
 #include <vector>
 
+#include "core/treiber_stack.hpp"
 #include "exec/worker_pool.hpp"
-#include "sec.hpp"
+#include "reclaim/epoch.hpp"
 
 namespace {
+
+using sec::reclaim::EpochDomain;
+using sec::reclaim::Stats;
 
 struct Probe {
     explicit Probe(std::atomic<std::uint64_t>& c) : counter(c) {}
@@ -21,40 +26,43 @@ struct Probe {
 };
 
 TEST(EbrTest, AccountingBalancesAfterChurn) {
-    sec::ebr::Domain domain;
+    EpochDomain domain;
     constexpr unsigned kThreads = 4;
     constexpr std::uint64_t kPerThread = 5000;
 
     sec::exec::WorkerPool::run(kThreads, [&](sec::exec::WorkerContext&) {
         for (std::uint64_t i = 0; i < kPerThread; ++i) {
-            sec::ebr::Guard g(domain);
+            EpochDomain::Guard g(domain);
             domain.retire(new std::uint64_t(i));
         }
     });
 
-    EXPECT_EQ(domain.retired_count(), kThreads * kPerThread);
-    EXPECT_EQ(domain.retired_count(), domain.freed_count() + domain.in_limbo());
+    const Stats s = domain.stats();
+    EXPECT_EQ(s.retired, kThreads * kPerThread);
+    EXPECT_EQ(s.retired, s.freed + s.in_limbo());
     // Amortised epoch advancement must have reclaimed during the run, not
     // deferred everything to destruction.
-    EXPECT_GT(domain.freed_count(), 0u);
+    EXPECT_GT(s.freed, 0u);
     EXPECT_GT(domain.epoch(), 2u);
 }
 
 TEST(EbrTest, LimboDrainsOnEpochAdvance) {
-    sec::ebr::Domain domain;
+    EpochDomain domain;
     // Fewer retires than the scan interval: nothing freed yet.
     for (int i = 0; i < 10; ++i) domain.retire(new int(i));
-    EXPECT_EQ(domain.retired_count(), 10u);
-    EXPECT_EQ(domain.in_limbo(), 10u);
+    const Stats before = domain.stats();
+    EXPECT_EQ(before.retired, 10u);
+    EXPECT_EQ(before.in_limbo(), 10u);
 
     // No active guards: drain advances the epoch and frees the backlog.
     domain.drain_all();
-    EXPECT_EQ(domain.in_limbo(), 0u);
-    EXPECT_EQ(domain.freed_count(), 10u);
+    const Stats after = domain.stats();
+    EXPECT_EQ(after.in_limbo(), 0u);
+    EXPECT_EQ(after.freed, 10u);
 }
 
 TEST(EbrTest, ActiveGuardPinsLimbo) {
-    sec::ebr::Domain domain;
+    EpochDomain domain;
     std::atomic<bool> entered{false};
     std::atomic<bool> release{false};
     sec::exec::PoolOptions wo;
@@ -71,19 +79,19 @@ TEST(EbrTest, ActiveGuardPinsLimbo) {
     for (int i = 0; i < 10; ++i) domain.retire(new int(i));
     domain.drain_all();
     // The reader's announced epoch blocks full advancement.
-    EXPECT_GT(domain.in_limbo(), 0u);
+    EXPECT_GT(domain.stats().in_limbo(), 0u);
 
     release.store(true);
     reader.join();
     domain.drain_all();
-    EXPECT_EQ(domain.in_limbo(), 0u);
+    EXPECT_EQ(domain.stats().in_limbo(), 0u);
 }
 
 TEST(EbrTest, DestructorFreesBacklog) {
     std::atomic<std::uint64_t> destroyed{0};
     constexpr std::uint64_t kCount = 1000;
     {
-        sec::ebr::Domain domain;
+        EpochDomain domain;
         for (std::uint64_t i = 0; i < kCount; ++i) {
             domain.retire(new Probe(destroyed));
         }
@@ -94,7 +102,7 @@ TEST(EbrTest, DestructorFreesBacklog) {
 }
 
 TEST(EbrTest, StacksReportIntoExternalDomain) {
-    sec::ebr::Domain domain;
+    EpochDomain domain;
     {
         sec::TreiberStack<std::uint64_t> stack(8, domain);
         for (std::uint64_t i = 0; i < 100; ++i) stack.push(i);
@@ -102,9 +110,9 @@ TEST(EbrTest, StacksReportIntoExternalDomain) {
             EXPECT_TRUE(stack.pop().has_value());
         }
     }
-    EXPECT_EQ(domain.retired_count(), 100u);
+    EXPECT_EQ(domain.stats().retired, 100u);
     domain.drain_all();
-    EXPECT_EQ(domain.in_limbo(), 0u);
+    EXPECT_EQ(domain.stats().in_limbo(), 0u);
 }
 
 }  // namespace

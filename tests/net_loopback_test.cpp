@@ -14,10 +14,10 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include "net/client.hpp"
-#include "net/event_loop.hpp"
 #include "net/protocol.hpp"
 #include "net/server.hpp"
 #include "workload/registry.hpp"
@@ -39,9 +39,17 @@ AnyStack make_stack(const char* algo = "SEC") {
 // with the driver under test.
 class SyncClient {
 public:
-    bool connect_to(std::uint16_t port) {
+    // rcvbuf > 0 shrinks the socket's receive buffer (and so the window the
+    // server may fill) before the connection is made.
+    bool connect_to(std::uint16_t port, int rcvbuf = 0) {
         fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
         if (fd_ < 0) return false;
+        if (rcvbuf > 0) {
+            ::setsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+        }
+        // A server that never answers fails the test instead of hanging it.
+        const timeval timeout{10, 0};
+        ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
         sockaddr_in addr{};
         addr.sin_family = AF_INET;
         addr.sin_port = htons(port);
@@ -63,10 +71,25 @@ public:
             for (const std::uint8_t byte : wire) {
                 if (::write(fd_, &byte, 1) != 1) return false;
             }
-        } else if (::write(fd_, wire.data(), wire.size()) !=
-                   static_cast<ssize_t>(wire.size())) {
+        } else if (!send_all(wire)) {
             return false;
         }
+        return receive(resp);
+    }
+
+    bool send_all(const std::vector<std::uint8_t>& wire) {
+        std::size_t off = 0;
+        while (off < wire.size()) {
+            const ssize_t n =
+                ::write(fd_, wire.data() + off, wire.size() - off);
+            if (n <= 0) return false;
+            off += static_cast<std::size_t>(n);
+        }
+        return true;
+    }
+
+    // Block for the next response frame.
+    bool receive(Message& resp) {
         for (;;) {
             Message decoded;
             const DecodeResult r = decode(buf_.data(), buf_.size(), decoded);
@@ -247,6 +270,45 @@ TEST(NetLoopback, DropsProtocolViolatorsWithoutDyingItself) {
     server.stop();
 }
 
+// Replies the kernel will not take yet stay buffered, and write interest
+// flushes them once the peer reads: a client that pipelines ~4 MB of
+// replies before reading any still gets every one, in order.
+TEST(NetLoopback, FlushesBufferedRepliesOnWritability) {
+    SecServer server(make_stack(), {});
+    std::string err;
+    ASSERT_TRUE(server.start(&err)) << err;
+
+    // A small receive window keeps the replies in the server's socket.
+    SyncClient client;
+    ASSERT_TRUE(client.connect_to(server.port(), /*rcvbuf=*/4096));
+
+    // Pops of an empty stack: 13-byte requests, 22-byte replies. The
+    // replies total just under the server's 4 MiB cap on unflushed output,
+    // so the connection is never dropped, yet overflow a loopback socket's
+    // send buffer (4 MiB of memory holds ~3.5 MB of payload), so send()
+    // hits EAGAIN and the rest waits for EPOLLOUT.
+    constexpr std::uint64_t kReplyBytes = 22;
+    constexpr std::uint64_t kRequests =
+        (std::uint64_t{4} << 20) / kReplyBytes - 500;
+    std::vector<std::uint8_t> wire;
+    for (std::uint64_t i = 0; i < kRequests; ++i) {
+        Message req;
+        req.type = MsgType::kPopReq;
+        req.tag = i;
+        encode(req, wire);
+    }
+    ASSERT_TRUE(client.send_all(wire));
+    for (std::uint64_t i = 0; i < kRequests; ++i) {
+        Message resp;
+        ASSERT_TRUE(client.receive(resp)) << "reply " << i;
+        ASSERT_EQ(resp.tag, i);
+        ASSERT_FALSE(resp.ok);
+    }
+    EXPECT_EQ(server.stats().empties, kRequests);
+
+    server.stop();
+}
+
 // The open-loop driver against a live server: every scheduled request must
 // come back exactly once. Tiny load — this runs under TSan in CI.
 TEST(NetLoopback, LoopbackDriverLosesZeroReplies) {
@@ -302,59 +364,6 @@ TEST(NetLoopback, DriverSchedulesAreDeterministicInTheSeed) {
     ASSERT_TRUE(b.ok) << b.error;
     EXPECT_EQ(a.sent, b.sent);
     EXPECT_EQ(a.pushes, b.pushes);
-
-    server.stop();
-}
-
-TEST(NetLoopback, BackendRegistryRejectsUnknownNames) {
-    EXPECT_TRUE(backend_known("epoll"));
-    EXPECT_TRUE(backend_known("iouring"));
-    EXPECT_FALSE(backend_known("kqueue"));
-    EXPECT_TRUE(backend_available("epoll"));
-
-    std::string err;
-    EXPECT_EQ(make_event_backend("kqueue", &err), nullptr);
-    EXPECT_FALSE(err.empty());
-
-    auto epoll = make_event_backend("", &err);
-    ASSERT_NE(epoll, nullptr) << err;
-    EXPECT_EQ(epoll->name(), "epoll");
-}
-
-// The iouring path: exercised when the build carries it AND the kernel
-// lets this process set up a ring; skipped (loudly) otherwise so the same
-// test source passes on every configuration.
-TEST(NetLoopback, IoUringBackendServesWhenAvailable) {
-    if (!backend_available("iouring")) {
-        GTEST_SKIP() << "iouring backend not in this build "
-                        "(-DSEC_IOURING=ON)";
-    }
-    std::string err;
-    auto probe = make_event_backend("iouring", &err);
-    if (probe == nullptr) {
-        GTEST_SKIP() << "io_uring unavailable at runtime: " << err;
-    }
-    probe.reset();
-
-    ServerConfig scfg;
-    scfg.backend = "iouring";
-    SecServer server(make_stack(), scfg);
-    ASSERT_TRUE(server.start(&err)) << err;
-
-    SyncClient client;
-    ASSERT_TRUE(client.connect_to(server.port()));
-    Message req, resp;
-    req.type = MsgType::kPushReq;
-    req.tag = 4;
-    req.value = 123;
-    ASSERT_TRUE(client.roundtrip(req, resp));
-    EXPECT_TRUE(resp.ok);
-    req = Message{};
-    req.type = MsgType::kPopReq;
-    req.tag = 5;
-    ASSERT_TRUE(client.roundtrip(req, resp));
-    EXPECT_TRUE(resp.ok);
-    EXPECT_EQ(resp.value, 123u);
 
     server.stop();
 }
