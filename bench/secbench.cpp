@@ -127,9 +127,8 @@ int list_registries() {
 // silently fall back to a different experiment (the sweep engine's loud
 // clamp warning is the precedent). Returns 0 on garbage or out-of-range.
 unsigned parse_shards(const char* value) {
-    char* end = nullptr;
-    const unsigned long parsed = std::strtoul(value, &end, 10);
-    if (end == value || *end != '\0' || parsed == 0 ||
+    std::uint64_t parsed = 0;
+    if (!sb::parse_u64_strict(value, parsed) || parsed == 0 ||
         parsed > sec::shard::kMaxShards) {
         return 0;
     }
@@ -242,9 +241,8 @@ int main(int argc, char** argv) {
             // Strict like --shards: a typo must not silently collapse the
             // noise guard to a single run.
             const char* value = next_value(i, arg);
-            char* end = nullptr;
-            const unsigned long parsed = std::strtoul(value, &end, 10);
-            if (end == value || *end != '\0' || parsed == 0 ||
+            std::uint64_t parsed = 0;
+            if (!sb::parse_u64_strict(value, parsed) || parsed == 0 ||
                 parsed > 1000) {
                 std::fprintf(stderr,
                              "secbench: --repeats '%s' must be an integer "
@@ -298,17 +296,15 @@ int main(int argc, char** argv) {
             // Strict like --shards: a typo must not silently swing between
             // remote and in-process measurement.
             const char* value = next_value(i, arg);
-            char* end = nullptr;
-            const long long parsed = std::strtoll(value, &end, 10);
-            if (end == value || *end != '\0' || parsed < 0 ||
-                parsed > 65535) {
+            std::uint64_t parsed = 0;
+            if (!sb::parse_u64_strict(value, parsed) || parsed > 65535) {
                 std::fprintf(stderr,
                              "secbench: --port '%s' must be an integer in "
                              "[0, 65535]\n",
                              value);
                 return 2;
             }
-            port = parsed;
+            port = static_cast<long long>(parsed);
         } else if (std::strcmp(arg, "--pin") == 0) {
             // Strict like --shards: a typo must not silently run unpinned
             // and masquerade as a placement measurement.

@@ -11,6 +11,7 @@
 #include <atomic>
 #include <chrono>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -18,6 +19,7 @@
 
 #include "exec/topology.hpp"
 #include "net/server.hpp"
+#include "workload/env.hpp"
 #include "workload/registry.hpp"
 
 namespace {
@@ -41,10 +43,10 @@ void usage() {
 }
 
 bool parse_port(const char* v, unsigned& out) {
-    if (v == nullptr || *v == '\0' || v[0] == '-') return false;
-    char* end = nullptr;
-    const unsigned long parsed = std::strtoul(v, &end, 10);
-    if (end == v || *end != '\0' || parsed > 65535) return false;
+    std::uint64_t parsed = 0;
+    if (!sec::bench::parse_u64_strict(v, parsed) || parsed > 65535) {
+        return false;
+    }
     out = static_cast<unsigned>(parsed);
     return true;
 }

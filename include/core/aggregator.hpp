@@ -21,6 +21,13 @@
 // K, the mapping and the backoff are fixed for the structure's lifetime, so
 // every thread has one home aggregator (DESIGN.md §5 records why there is
 // no runtime tuner).
+//
+// SecStack enters through execute_direct_first(): one attempt on the spine,
+// and a publication here only when that attempt lost a race or the thread
+// is still in the skip window a recent loss opened. The batching protocol
+// therefore runs for contended ops only; below that contention a batch
+// would average little more than one op and cost several cross-core round
+// trips (DESIGN.md §3).
 #pragma once
 
 #include <algorithm>
@@ -67,15 +74,16 @@ public:
         return tid >= cfg_.max_threads;
     }
 
-    // Run one operation through the batching protocol. `apply_pushes(agg,
-    // vals, n)` must push n values onto the backing structure; `apply_pops(
-    // agg, out, n)` must pop up to n values, returning how many it got.
-    // Returns the popped value for kOpPop (nullopt: empty), nullopt for push.
+    // Run one operation of the calling thread `id` (its detail::tid(),
+    // below Config::max_threads) through the batching protocol.
+    // `apply_pushes(agg, vals, n)` must push n values onto the backing
+    // structure; `apply_pops(agg, out, n)` must pop up to n values,
+    // returning how many it got. Returns the popped value for kOpPop
+    // (nullopt: empty), nullopt for push.
     template <class ApplyPushes, class ApplyPops>
-    std::optional<V> execute(std::uint32_t op, const V& in,
+    std::optional<V> execute(std::size_t id, std::uint32_t op, const V& in,
                              ApplyPushes&& apply_pushes,
                              ApplyPops&& apply_pops) {
-        const std::size_t id = detail::tid();
         Slot& slot = slots_[id];
         Agg& agg = aggs_[agg_of(id)];  // the thread's home, for its lifetime
         slot.in = in;
@@ -99,6 +107,40 @@ public:
         }
     }
 
+    // The contention-sensitive entry (DESIGN.md §3). Unless the calling
+    // thread `id` sits in a post-failure skip window, `try_direct(result)`
+    // first makes ONE attempt at the op on the backing structure: it
+    // returns false when it lost a race (nothing was applied), and true when
+    // the op completed, with `result` set for a pop that got a value. A
+    // completed attempt returns at once. A lost one raises the thread's
+    // failure level f (at most kMaxFailLevel) and sends this op and the
+    // thread's next 2^f - 1 ops through execute(). Every second direct
+    // success lowers f by one, so a thread stays batched while more than
+    // ~1/3 of its direct attempts fail.
+    template <class TryDirect, class ApplyPushes, class ApplyPops>
+    std::optional<V> execute_direct_first(std::size_t id, std::uint32_t op,
+                                          const V& in, TryDirect&& try_direct,
+                                          ApplyPushes&& apply_pushes,
+                                          ApplyPops&& apply_pops) {
+        Slot& slot = slots_[id];
+        if (slot.skip > 0) {
+            --slot.skip;
+        } else {
+            std::optional<V> result;
+            if (try_direct(result)) {
+                if (slot.fail_level > 0 && ++slot.wins == 2) {
+                    slot.wins = 0;
+                    --slot.fail_level;
+                }
+                if (cfg_.collect_stats) bump(slot.direct_ops, 1);
+                return result;
+            }
+            if (slot.fail_level < kMaxFailLevel) ++slot.fail_level;
+            slot.skip = (1u << slot.fail_level) - 1;
+        }
+        return execute(id, op, in, apply_pushes, apply_pops);
+    }
+
     // One consistent snapshot: the counters are written with plain
     // load+store under each aggregator's freezer lock (see combine()), so a
     // lock-free reader could both under-count a mid-batch bump and tear
@@ -109,8 +151,14 @@ public:
     // release store pairs with our acquire exchange). Held only for four
     // relaxed loads, so a concurrent freezer waits nanoseconds, and stats()
     // never holds two locks at once.
+    // Direct completions are owner-counted in the slots, so they are read
+    // without a lock: a snapshot may trail a running thread by a few ops.
     StatsSnapshot stats() const {
         StatsSnapshot s;
+        const std::size_t live = std::min(detail::tid_hwm(), cfg_.max_threads);
+        for (std::size_t t = 0; t < live; ++t) {
+            s.direct_ops += slots_[t].direct_ops.load(std::memory_order_relaxed);
+        }
         for (std::size_t a = 0; a < num_aggs_; ++a) {
             Agg& agg = aggs_[a];
             Backoff backoff;
@@ -133,10 +181,23 @@ private:
     static constexpr std::uint32_t kDoneValue = 4;
     static constexpr std::uint32_t kDoneEmpty = 5;
 
+    // Highest failure level of the direct entry: after a lost race a thread
+    // batches at most 2^6 = 64 ops in a row before it tries again.
+    static constexpr std::uint8_t kMaxFailLevel = 6;
+
     struct alignas(kCacheLineSize) Slot {
         std::atomic<std::uint32_t> state{kIdle};
         V in{};   // owner-written before the pending release store
         V out{};  // freezer-written before the kDoneValue release store
+        // Direct-entry state (execute_direct_first), owner-only: ops left
+        // in the skip window, the failure level f, and direct successes
+        // since f last fell.
+        std::uint8_t skip = 0;
+        std::uint8_t fail_level = 0;
+        std::uint8_t wins = 0;
+        // Ops that completed on the direct path (Config::collect_stats);
+        // single writer, the owner.
+        std::atomic<std::uint64_t> direct_ops{0};
     };
 
     struct alignas(kCacheLineSize) Agg {
@@ -160,6 +221,12 @@ private:
             return tid % num_aggs_;
         }
         return tid * num_aggs_ / cfg_.max_threads;  // contiguous blocks
+    }
+
+    // Single-writer counter increment: plain load+store, no atomic RMW.
+    static void bump(std::atomic<std::uint64_t>& c, std::uint64_t x) noexcept {
+        c.store(c.load(std::memory_order_relaxed) + x,
+                std::memory_order_relaxed);
     }
 
     std::optional<V> consume(Slot& slot, std::uint32_t st) {
@@ -260,10 +327,6 @@ private:
             // per-op cost when batches are small. stats() takes the same
             // lock, so readers see whole batches only, never a mid-bump
             // tear.
-            auto bump = [](std::atomic<std::uint64_t>& c, std::uint64_t x) {
-                c.store(c.load(std::memory_order_relaxed) + x,
-                        std::memory_order_relaxed);
-            };
             bump(agg.batches, 1);
             bump(agg.batched, batch);
             bump(agg.eliminated, 2 * pairs);

@@ -36,10 +36,12 @@ struct Config {
     //   sweet spot is 2-4.
     std::size_t num_aggregators = 4;
     // Bound on concurrently-live threads using the structure; per-thread
-    // publication slots are sized by this.
+    // publication slots, and with them SecStack's direct-entry state, are
+    // sized by this.
     //   unit: threads · legal range: [1, kMaxThreads] · paper: §3 ("M
-    //   threads"). Threads with ids at or past the bound take the direct
-    //   spine path (AggregatorSet::is_overflow).
+    //   threads"). Threads with ids at or past the bound have no slot: they
+    //   never batch and retry their spine CAS until it lands
+    //   (AggregatorSet::is_overflow), uncounted by stats().
     std::size_t max_threads = kMaxThreads;
     // Thread → aggregator assignment policy.
     //   legal range: the two enumerators above · paper: §3.2 prose
@@ -91,12 +93,16 @@ struct Config {
 // Snapshot of the degree counters (Table 1 metrics). `batched_ops` counts
 // operations that went through a frozen batch; of those, `eliminated_ops`
 // were matched push/pop pairs and `combined_ops` were applied to the central
-// structure by the combiner.
+// structure by the combiner. `direct_ops` counts SecStack operations that
+// completed with their own single spine CAS and never reached an
+// aggregator (the contention-sensitive entry), so for a SecStack below
+// Config::max_threads, direct_ops + batched_ops is every push and pop.
 struct StatsSnapshot {
     std::uint64_t batches = 0;
     std::uint64_t batched_ops = 0;
     std::uint64_t eliminated_ops = 0;
     std::uint64_t combined_ops = 0;
+    std::uint64_t direct_ops = 0;
 
     double batching_degree() const noexcept {
         return batches ? static_cast<double>(batched_ops) /
@@ -112,6 +118,13 @@ struct StatsSnapshot {
         return batched_ops ? 100.0 * static_cast<double>(combined_ops) /
                                  static_cast<double>(batched_ops)
                            : 0.0;
+    }
+    // Share of all counted operations that took the direct path.
+    double direct_pct() const noexcept {
+        const std::uint64_t all = direct_ops + batched_ops;
+        return all ? 100.0 * static_cast<double>(direct_ops) /
+                         static_cast<double>(all)
+                   : 0.0;
     }
 };
 

@@ -45,12 +45,13 @@ public:
     ElimPool& operator=(const ElimPool&) = delete;
 
     bool insert(const V& v) {
-        if (aggs_.is_overflow(detail::tid())) {
+        const std::size_t id = detail::tid();
+        if (aggs_.is_overflow(id)) {
             detail::spine_push_chain(spines_[0].top, &v, 1);
             return true;
         }
         (void)aggs_.execute(
-            Aggs::kOpPush, v,
+            id, Aggs::kOpPush, v,
             [this](std::size_t a, const V* vals, std::size_t n) {
                 detail::spine_push_chain(spines_[a].top, vals, n);
             },
@@ -61,13 +62,14 @@ public:
     }
 
     std::optional<V> extract() {
-        if (aggs_.is_overflow(detail::tid())) {
-            V out;
+        const std::size_t id = detail::tid();
+        if (aggs_.is_overflow(id)) {
+            V out{};
             return pop_any(0, &out, 1) == 1 ? std::optional<V>(out)
                                             : std::nullopt;
         }
         return aggs_.execute(
-            Aggs::kOpPop, V{},
+            id, Aggs::kOpPop, V{},
             [this](std::size_t a, const V* vals, std::size_t n) {
                 detail::spine_push_chain(spines_[a].top, vals, n);
             },

@@ -54,12 +54,13 @@ public:
     SecQueue& operator=(const SecQueue&) = delete;
 
     bool put(const V& v) {
-        if (SEC_UNLIKELY(aggs_.is_overflow(detail::tid()))) {
+        const std::size_t id = detail::tid();
+        if (SEC_UNLIKELY(aggs_.is_overflow(id))) {
             detail::fifo_put_chain(tail_, &v, 1);
             return true;
         }
         (void)aggs_.execute(
-            Aggs::kOpPush, v,
+            id, Aggs::kOpPush, v,
             [this](std::size_t, const V* vals, std::size_t n) {
                 detail::fifo_put_chain(tail_, vals, n);
             },
@@ -71,7 +72,8 @@ public:
     }
 
     std::optional<V> take() {
-        if (SEC_UNLIKELY(aggs_.is_overflow(detail::tid()))) {
+        const std::size_t id = detail::tid();
+        if (SEC_UNLIKELY(aggs_.is_overflow(id))) {
             typename R::Guard guard(*domain_);
             V out;
             return detail::fifo_take_chain(head_, guard, &out, 1) == 1
@@ -79,7 +81,7 @@ public:
                        : std::nullopt;
         }
         return aggs_.execute(
-            Aggs::kOpPop, V{},
+            id, Aggs::kOpPop, V{},
             [this](std::size_t, const V* vals, std::size_t n) {
                 detail::fifo_put_chain(tail_, vals, n);
             },

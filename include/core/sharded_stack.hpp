@@ -249,6 +249,7 @@ public:
             total.batched_ops += one.batched_ops;
             total.eliminated_ops += one.eliminated_ops;
             total.combined_ops += one.combined_ops;
+            total.direct_ops += one.direct_ops;
         }
         return total;
     }

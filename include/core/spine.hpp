@@ -1,7 +1,8 @@
 // core/spine.hpp — the lock-free Treiber spine shared by SecStack, ElimPool,
-// and TreiberStack: batched single-CAS chain push, batched single-CAS
-// multi-pop with reclaimer retirement, and teardown. Keeping it in one place
-// keeps the structures from diverging.
+// and TreiberStack: single-attempt push and multi-pop (SecStack's direct
+// entry), the batched single-CAS chain push and multi-pop that retry them,
+// reclaimer retirement, and teardown. Keeping it in one place keeps the
+// structures from diverging.
 //
 // The pop/peek primitives take a reclaimer Guard (reclaim/reclaimer.hpp)
 // rather than assuming EBR. Blanket guards (EBR/QSBR/leaky) compile to the
@@ -27,10 +28,31 @@ struct SpineNode {
     SpineNode* next;
 };
 
+// One CAS linking the private chain bottom..chain above the top that
+// `bottom->next` holds. False when `top` moved since that read: nothing was
+// published, `bottom->next` now holds the current top, and the chain is
+// still the caller's to retry or free. Pushes dereference no shared node,
+// so they need no guard under any reclaimer.
+template <class V>
+bool spine_try_link(std::atomic<SpineNode<V>*>& top, SpineNode<V>* bottom,
+                    SpineNode<V>* chain) {
+    return top.compare_exchange_strong(bottom->next, chain,
+                                       std::memory_order_release,
+                                       std::memory_order_relaxed);
+}
+
+// One attempt to push v: false (and nothing published) when it lost a race.
+template <class V>
+bool spine_try_push(std::atomic<SpineNode<V>*>& top, const V& v) {
+    auto* node = new SpineNode<V>{v, top.load(std::memory_order_relaxed)};
+    if (spine_try_link(top, node, node)) return true;
+    delete node;  // never published
+    return false;
+}
+
 // Link vals[0..n) above the current top with a single CAS. vals[n-1] ends
 // up topmost; within a batch the operations are concurrent, so any internal
-// order is linearizable. Pushes dereference no shared node, so they need no
-// guard under any reclaimer.
+// order is linearizable.
 template <class V>
 void spine_push_chain(std::atomic<SpineNode<V>*>& top, const V* vals,
                       std::size_t n) {
@@ -41,64 +63,67 @@ void spine_push_chain(std::atomic<SpineNode<V>*>& top, const V* vals,
         if (bottom == nullptr) bottom = chain;
     }
     bottom->next = top.load(std::memory_order_relaxed);
-    // At most K aggregator freezers race on `top`, so first-try success is
-    // the common case even at high thread counts — that is the point of
-    // batching (paper §3).
-    while (SEC_UNLIKELY(!top.compare_exchange_weak(
-        bottom->next, chain, std::memory_order_release,
-        std::memory_order_relaxed))) {
-        cpu_relax();
-    }
+    // Under SEC only the K aggregator freezers and threads making their one
+    // direct attempt race on `top`, and a thread that keeps losing moves to
+    // its aggregator, so first-try success is the common case even at high
+    // thread counts — that is the point of batching (paper §3).
+    while (SEC_UNLIKELY(!spine_try_link(top, bottom, chain))) cpu_relax();
 }
 
-// Detach up to n nodes with a single CAS; returns how many were popped.
-// `guard` must be a live Guard of the domain the spine's nodes retire into;
-// slots 0 (anchor) and 1 (walker) of a hazard guard are used.
+// One attempt to detach up to n nodes with a single CAS. Returns how many
+// were popped — 0 when the spine was empty at the read of `top`, which is
+// where an empty pop linearizes — or nullopt when `top` moved during the
+// attempt and nothing was detached. `guard` must be a live Guard of the
+// domain the spine's nodes retire into; slots 0 (anchor) and 1 (walker) of
+// a hazard guard are used.
+template <class V, class G>
+std::optional<std::size_t> spine_try_pop_chain(
+    std::atomic<SpineNode<V>*>& top, G& guard, V* out, std::size_t n) {
+    SpineNode<V>* head = guard.protect(0u, top);
+    if (head == nullptr) return 0;
+    SpineNode<V>* end = head;
+    std::size_t count = 0;
+    while (end != nullptr && count < n) {
+        SpineNode<V>* next = end->next;
+        // Pull the line we will chase one iteration from now; the walk is
+        // otherwise a serial load-to-load dependency chain and eats a full
+        // miss per node on cold spines.
+        if (next != nullptr) prefetch(next);
+        ++count;
+        end = next;
+        if (end != nullptr && count < n) {
+            // `end` is dereferenced next iteration: announce it, then
+            // revalidate the anchor (no-ops for blanket guards).
+            guard.publish(1u, end);
+            if (SEC_UNLIKELY(!guard.validate(top, head))) return std::nullopt;
+        }
+    }
+    SpineNode<V>* expected = head;
+    if (SEC_UNLIKELY(!top.compare_exchange_strong(
+            expected, end, std::memory_order_acq_rel,
+            std::memory_order_acquire))) {
+        return std::nullopt;
+    }
+    // The chain head..end is exclusively ours now; values are copied out
+    // before each node is handed to the domain.
+    SpineNode<V>* node = head;
+    for (std::size_t i = 0; i < count; ++i) {
+        out[i] = node->value;
+        SpineNode<V>* next = node->next;
+        guard.domain().retire(node);
+        node = next;
+    }
+    return count;
+}
+
+// Detach up to n nodes with a single successful CAS, retrying lost races;
+// returns how many were popped.
 template <class V, class G>
 std::size_t spine_pop_chain(std::atomic<SpineNode<V>*>& top, G& guard, V* out,
                             std::size_t n) {
     for (;;) {
-        SpineNode<V>* head = guard.protect(0u, top);
-        if (head == nullptr) return 0;
-        SpineNode<V>* end = head;
-        std::size_t count = 0;
-        bool restart = false;
-        while (end != nullptr && count < n) {
-            SpineNode<V>* next = end->next;
-            // Pull the line we will chase one iteration from now; the walk
-            // is otherwise a serial load-to-load dependency chain and eats
-            // a full miss per node on cold spines.
-            if (next != nullptr) prefetch(next);
-            ++count;
-            end = next;
-            if (end != nullptr && count < n) {
-                // `end` is dereferenced next iteration: announce it, then
-                // revalidate the anchor (no-ops for blanket guards).
-                guard.publish(1u, end);
-                if (SEC_UNLIKELY(!guard.validate(top, head))) {
-                    restart = true;
-                    break;
-                }
-            }
-        }
-        if (SEC_UNLIKELY(restart)) {
-            cpu_relax();
-            continue;
-        }
-        SpineNode<V>* expected = head;
-        if (SEC_LIKELY(top.compare_exchange_weak(expected, end,
-                                                 std::memory_order_acq_rel,
-                                                 std::memory_order_acquire))) {
-            // The chain head..end is exclusively ours now; values are copied
-            // out before each node is handed to the domain.
-            SpineNode<V>* node = head;
-            for (std::size_t i = 0; i < count; ++i) {
-                out[i] = node->value;
-                SpineNode<V>* next = node->next;
-                guard.domain().retire(node);
-                node = next;
-            }
-            return count;
+        if (const auto got = spine_try_pop_chain(top, guard, out, n)) {
+            return *got;
         }
         cpu_relax();
     }

@@ -38,7 +38,7 @@ public:
 
     std::optional<V> pop() {
         typename R::Guard guard(*domain_);
-        V out;
+        V out{};
         return detail::spine_pop_chain(top_, guard, &out, 1) == 1
                    ? std::optional<V>(out)
                    : std::nullopt;

@@ -5,11 +5,13 @@
 // level-triggered epoll descriptor. Each epoll_wait() batch is drained
 // completely — every readable connection read to EAGAIN, every complete
 // frame decoded and applied to the stack, every response appended to the
-// connection's write buffer — before the next wait. The readiness batch
-// therefore becomes the unit of work exactly the way an aggregator batch is
-// in the paper: the kernel crossing is amortized over every request it
-// surfaced, and responses flush as one writev-sized burst per connection
-// per batch.
+// connection's write buffer — before the next wait. A connection whose
+// peer leaves too many replies unread is paused instead: it stops reading
+// and decoding until its output drains (backpressure, net_server.cpp).
+// The readiness batch therefore becomes the unit of work exactly the way
+// an aggregator batch is in the paper: the kernel crossing is amortized
+// over every request it surfaced, and responses flush as one writev-sized
+// burst per connection per batch.
 #pragma once
 
 #include <atomic>
@@ -73,20 +75,31 @@ private:
         std::vector<std::uint8_t> in;
         std::vector<std::uint8_t> out;
         std::size_t out_off = 0;     // bytes of `out` already written
+        bool paused = false;         // backpressure: decoding stopped
+        bool want_read = true;       // registered with read interest
         bool want_write = false;     // registered with write interest
     };
 
     void loop();
     void accept_ready();
-    // Returns false when the connection must be closed (EOF / error /
+    // Each returns false when the connection must be closed (EOF / error /
     // protocol violation).
-    bool conn_readable(int fd, Conn& conn, std::uint64_t& batch_requests);
+    // Read the socket into `in`, up to its bound.
+    bool conn_readable(int fd, Conn& conn);
+    // Apply buffered requests and flush their replies, pausing and resuming
+    // the connection on its unflushed output; then register the interest
+    // its state needs.
+    bool pump(int fd, Conn& conn, std::uint64_t& batch_requests);
+    // Decode and apply whole frames from `in` until none is left or the
+    // unflushed output reaches the high-water mark (`full`).
+    bool apply_frames(Conn& conn, std::uint64_t& batch_requests, bool& full);
+    // Send unflushed output until done or the socket would block.
     bool flush(int fd, Conn& conn);
     void apply(const Message& req, Conn& conn);
     void close_conn(int fd);
-    // epoll_ctl(op) for `fd`: read interest always, write interest when
-    // want_write. False when the kernel refuses the change.
-    bool watch(int op, int fd, bool want_write);
+    // epoll_ctl(op) for `fd` with the given interest. False when the kernel
+    // refuses the change.
+    bool watch(int op, int fd, bool want_read, bool want_write);
 
     AnyStack stack_;
     ServerConfig cfg_;

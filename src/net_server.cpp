@@ -5,12 +5,18 @@
 // and level-triggering keeps the "re-notify until drained" invariant without
 // edge-trigger resubscription subtleties. Batch discipline: every
 // epoll_wait() batch is fully drained — accept to EAGAIN, read each ready
-// connection to EAGAIN, decode every complete frame, apply it to the stack,
-// buffer the response — then each touched connection is flushed once. The
-// per-op AnyStack virtuals are fine here: a request already paid a syscall
-// and a frame decode, so one virtual call is noise, and the interesting
-// batching (kernel crossings amortized over the readiness batch) lives a
-// layer below.
+// connection to EAGAIN (or to its input bound), decode every complete frame,
+// apply it to the stack, buffer the response — then each touched connection
+// is flushed. The per-op AnyStack virtuals are fine here: a request already
+// paid a syscall and a frame decode, so one virtual call is noise, and the
+// interesting batching (kernel crossings amortized over the readiness batch)
+// lives a layer below.
+//
+// Backpressure: a connection whose unflushed output reaches kOutHighWater
+// stops decoding and drops EPOLLIN from its interest until flushing drains
+// the output below kOutLowWater. Its requests then queue in the kernel, and
+// TCP flow control slows a peer that sends faster than it reads; no peer
+// that follows the protocol is dropped, and buffers stay bounded.
 #include "net/server.hpp"
 
 #include <cerrno>
@@ -33,10 +39,14 @@ constexpr int kEventCap = 128;
 // long the loop can miss the stop flag if that wake is lost.
 constexpr int kWaitTimeoutMs = 200;
 constexpr std::size_t kReadChunk = 16 * 1024;
-// A connection whose decoded-but-unflushed output exceeds this is falling
-// behind pathologically (the protocol is request/response with tiny
-// frames); drop it rather than buffer without bound.
-constexpr std::size_t kMaxOutBuffer = 4 * 1024 * 1024;
+// Reads stop once this much undecoded input is buffered; level-triggered
+// EPOLLIN brings the rest on a later batch.
+constexpr std::size_t kMaxInBuffer = 256 * 1024;
+// Unflushed output that pauses a connection, and the level it must drain
+// below to resume. A request/response peer with a few requests in flight
+// never comes near either.
+constexpr std::size_t kOutHighWater = 1024 * 1024;
+constexpr std::size_t kOutLowWater = 256 * 1024;
 
 bool set_nonblocking(int fd) {
     const int flags = ::fcntl(fd, F_GETFL, 0);
@@ -114,8 +124,8 @@ bool SecServer::start(std::string* err) {
         return fail(std::string("eventfd: ") + std::strerror(errno));
     }
 
-    if (!watch(EPOLL_CTL_ADD, listen_fd_, false) ||
-        !watch(EPOLL_CTL_ADD, wake_fd_, false)) {
+    if (!watch(EPOLL_CTL_ADD, listen_fd_, true, false) ||
+        !watch(EPOLL_CTL_ADD, wake_fd_, true, false)) {
         return fail(std::string("epoll_ctl(ADD): ") + std::strerror(errno));
     }
 
@@ -174,13 +184,8 @@ void SecServer::loop() {
             Conn& conn = it->second;
             // Error or hangup closes the connection without a read.
             bool alive = (ready & (EPOLLERR | EPOLLHUP)) == 0;
-            if (alive && (ready & EPOLLIN) != 0) {
-                alive = conn_readable(fd, conn, batch_requests);
-            }
-            if (alive &&
-                ((ready & EPOLLOUT) != 0 || conn.out.size() > conn.out_off)) {
-                alive = flush(fd, conn);
-            }
+            if (alive && (ready & EPOLLIN) != 0) alive = conn_readable(fd, conn);
+            if (alive) alive = pump(fd, conn, batch_requests);
             if (!alive) close_conn(fd);
         }
         if (batch_requests > 0) {
@@ -204,7 +209,7 @@ void SecServer::accept_ready() {
         }
         const int one = 1;
         ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-        if (!watch(EPOLL_CTL_ADD, fd, false)) {
+        if (!watch(EPOLL_CTL_ADD, fd, true, false)) {
             ::close(fd);
             continue;
         }
@@ -213,12 +218,11 @@ void SecServer::accept_ready() {
     }
 }
 
-bool SecServer::conn_readable(int fd, Conn& conn,
-                              std::uint64_t& batch_requests) {
+bool SecServer::conn_readable(int fd, Conn& conn) {
     // Drain the socket to EAGAIN — level-triggered epoll would re-notify
     // anyway, but draining keeps the whole readiness batch's requests inside
-    // this aggregation window.
-    for (;;) {
+    // this aggregation window — unless the input bound stops the read first.
+    while (conn.in.size() < kMaxInBuffer) {
         const std::size_t old = conn.in.size();
         conn.in.resize(old + kReadChunk);
         const ssize_t n = ::read(fd, conn.in.data() + old, kReadChunk);
@@ -232,10 +236,50 @@ bool SecServer::conn_readable(int fd, Conn& conn,
         if (errno == EAGAIN || errno == EWOULDBLOCK) break;
         return false;
     }
+    return true;
+}
 
-    // Decode and apply every complete frame.
+bool SecServer::pump(int fd, Conn& conn, std::uint64_t& batch_requests) {
+    for (;;) {
+        bool full = false;
+        if (!conn.paused && !apply_frames(conn, batch_requests, full)) {
+            return false;
+        }
+        if (!flush(fd, conn)) return false;
+        const std::size_t unflushed = conn.out.size() - conn.out_off;
+        if (conn.paused) {
+            if (unflushed >= kOutLowWater) break;
+            conn.paused = false;  // drained: decode what the pause left
+        } else if (unflushed >= kOutHighWater) {
+            conn.paused = true;  // the peer reads slower than it sends
+            break;
+        } else if (!full) {
+            break;
+        }
+    }
+    // Read interest unless paused, write interest while output waits. A
+    // paused connection always has output waiting, so it stays watched.
+    const bool want_read = !conn.paused;
+    const bool want_write = conn.out.size() > conn.out_off;
+    if (want_read == conn.want_read && want_write == conn.want_write) {
+        return true;
+    }
+    conn.want_read = want_read;
+    conn.want_write = want_write;
+    // Without write interest buffered replies would only ever flush
+    // piggybacked on a read event; if the kernel refuses the change, drop
+    // the connection instead.
+    return watch(EPOLL_CTL_MOD, fd, want_read, want_write);
+}
+
+bool SecServer::apply_frames(Conn& conn, std::uint64_t& batch_requests,
+                             bool& full) {
     std::size_t off = 0;
     while (off < conn.in.size()) {
+        if (conn.out.size() - conn.out_off >= kOutHighWater) {
+            full = true;
+            break;
+        }
         Message req;
         const DecodeResult r =
             decode(conn.in.data() + off, conn.in.size() - off, req);
@@ -246,7 +290,7 @@ bool SecServer::conn_readable(int fd, Conn& conn,
         ++batch_requests;
     }
     if (off > 0) conn.in.erase(conn.in.begin(), conn.in.begin() + off);
-    return conn.out.size() - conn.out_off <= kMaxOutBuffer;
+    return true;
 }
 
 void SecServer::apply(const Message& req, Conn& conn) {
@@ -301,23 +345,22 @@ bool SecServer::flush(int fd, Conn& conn) {
         }
         if (n < 0 && errno == EINTR) continue;
         if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-            if (!conn.want_write) {
-                // No write interest registered means buffered replies would
-                // only ever flush piggybacked on a read event; if the
-                // registration fails, drop the connection instead.
-                if (!watch(EPOLL_CTL_MOD, fd, true)) return false;
-                conn.want_write = true;
+            // Keep the unsent tail for writability. Drop the sent head once
+            // it outweighs the tail, so a peer that never lets the output
+            // drain completely cannot grow the buffer without bound.
+            if (conn.out_off >= kOutLowWater &&
+                conn.out_off >= conn.out.size() - conn.out_off) {
+                conn.out.erase(conn.out.begin(),
+                               conn.out.begin() +
+                                   static_cast<std::ptrdiff_t>(conn.out_off));
+                conn.out_off = 0;
             }
-            return true;  // keep the connection; retry on writability
+            return true;
         }
         return false;  // EPIPE/ECONNRESET and friends: close the connection
     }
     conn.out.clear();
     conn.out_off = 0;
-    if (conn.want_write) {
-        conn.want_write = false;
-        watch(EPOLL_CTL_MOD, fd, false);
-    }
     return true;
 }
 
@@ -327,9 +370,9 @@ void SecServer::close_conn(int fd) {
     conns_.erase(fd);
 }
 
-bool SecServer::watch(int op, int fd, bool want_write) {
+bool SecServer::watch(int op, int fd, bool want_read, bool want_write) {
     epoll_event ev{};
-    ev.events = EPOLLIN | (want_write ? EPOLLOUT : 0u);
+    ev.events = (want_read ? EPOLLIN : 0u) | (want_write ? EPOLLOUT : 0u);
     ev.data.fd = fd;
     return ::epoll_ctl(epoll_fd_, op, fd, &ev) == 0;
 }

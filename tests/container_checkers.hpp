@@ -21,12 +21,21 @@
 //     per-producer promise an observer could check locally — elimination
 //     legally short-circuits pairs — which is why the order oracle for
 //     stacks runs in the quiescent drain phase.)
+//
+// Order under churn is checked on short histories instead: the recorder and
+// the Wing–Gong stack checker at the end of this file.
 #pragma once
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
+#include <functional>
+#include <optional>
+#include <sstream>
+#include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "core/common.hpp"
@@ -147,6 +156,166 @@ inline void expect_per_producer_monotonic(const std::vector<Value>& removals,
         }
         last[p] = seq;
     }
+}
+
+// ---- linearizability ------------------------------------------------------
+//
+// Short concurrent histories, checked against a sequential stack by
+// Wing–Gong search. A thread records each operation it completes with its
+// invoke and response times (steady_clock ns, taken just before the call
+// and just after it returns). The checker then looks for a total order of
+// all operations that keeps every thread's program order, keeps real-time
+// order (an op that responded before another was invoked comes first), and
+// replays on a sequential stack with the recorded results.
+
+enum class LinOp : std::uint8_t { kPush, kPop };
+
+struct LinEvent {
+    LinOp op;
+    bool has_value;  // push: always; pop: false when it reported empty
+    Value value;
+    std::uint64_t invoke_ns;
+    std::uint64_t response_ns;
+};
+
+// One thread's completed operations, in program order.
+using ThreadHistory = std::vector<LinEvent>;
+
+inline std::uint64_t steady_ns() {
+    return static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now().time_since_epoch())
+            .count());
+}
+
+template <class C>
+void recorded_push(C& container, ThreadHistory& h, Value v) {
+    const std::uint64_t t0 = steady_ns();
+    container.push(v);
+    h.push_back({LinOp::kPush, true, v, t0, steady_ns()});
+}
+
+template <class C>
+void recorded_pop(C& container, ThreadHistory& h) {
+    const std::uint64_t t0 = steady_ns();
+    const std::optional<Value> v = container.pop();
+    h.push_back({LinOp::kPop, v.has_value(), v.value_or(0), t0, steady_ns()});
+}
+
+// Wing–Gong search over at most 64 operations, memoized on (set of
+// linearized ops, stack contents): a state that failed once fails again,
+// whatever order reached it.
+class StackLinearizabilityChecker {
+public:
+    explicit StackLinearizabilityChecker(
+        const std::vector<ThreadHistory>& threads) {
+        for (const ThreadHistory& h : threads) {
+            for (std::size_t i = 0; i < h.size(); ++i) {
+                // Program order: an op waits for its thread's previous one.
+                prev_.push_back(i == 0 ? -1 : static_cast<int>(ops_.size()) - 1);
+                ops_.push_back(h[i]);
+            }
+        }
+    }
+
+    bool linearizable() {
+        if (ops_.size() > 64) {
+            ADD_FAILURE() << "history of " << ops_.size()
+                          << " ops: the search tracks at most 64";
+            return false;
+        }
+        all_ = ops_.size() == 64 ? ~std::uint64_t{0}
+                                 : (std::uint64_t{1} << ops_.size()) - 1;
+        failed_.clear();
+        std::vector<Value> stack;
+        return search(0, stack);
+    }
+
+private:
+    struct State {
+        std::uint64_t done;
+        std::vector<Value> stack;
+        bool operator==(const State&) const = default;
+    };
+    struct StateHash {
+        std::size_t operator()(const State& s) const noexcept {
+            std::size_t h = std::hash<std::uint64_t>{}(s.done);
+            for (Value v : s.stack) {
+                h ^= std::hash<Value>{}(v) + 0x9E3779B97F4A7C15ull + (h << 6) +
+                     (h >> 2);
+            }
+            return h;
+        }
+    };
+
+    bool search(std::uint64_t done, std::vector<Value>& stack) {
+        if (done == all_) return true;
+        const std::size_t n = ops_.size();
+        State key{done, stack};
+        if (failed_.count(key) != 0) return false;
+        // An op may go next only if no pending op responded before it was
+        // invoked.
+        std::uint64_t first_response = ~std::uint64_t{0};
+        for (std::size_t i = 0; i < n; ++i) {
+            if ((done >> i & 1) == 0) {
+                first_response = std::min(first_response, ops_[i].response_ns);
+            }
+        }
+        for (std::size_t i = 0; i < n; ++i) {
+            const LinEvent& e = ops_[i];
+            if ((done >> i & 1) != 0 || e.invoke_ns > first_response) continue;
+            if (prev_[i] >= 0 && (done >> prev_[i] & 1) == 0) continue;
+            const std::uint64_t next = done | std::uint64_t{1} << i;
+            if (e.op == LinOp::kPush) {
+                stack.push_back(e.value);
+                const bool ok = search(next, stack);
+                stack.pop_back();
+                if (ok) return true;
+            } else if (!e.has_value) {
+                if (stack.empty() && search(next, stack)) return true;
+            } else if (!stack.empty() && stack.back() == e.value) {
+                stack.pop_back();
+                const bool ok = search(next, stack);
+                stack.push_back(e.value);
+                if (ok) return true;
+            }
+        }
+        failed_.insert(std::move(key));
+        return false;
+    }
+
+    std::vector<LinEvent> ops_;
+    std::vector<int> prev_;
+    std::uint64_t all_ = 0;  // the mask with every op linearized
+    std::unordered_set<State, StateHash> failed_;
+};
+
+inline bool stack_linearizable(const std::vector<ThreadHistory>& threads) {
+    return StackLinearizabilityChecker(threads).linearizable();
+}
+
+// The history, one line per op, times relative to the earliest invoke —
+// what a failing check prints.
+inline std::string describe(const std::vector<ThreadHistory>& threads) {
+    std::uint64_t t0 = ~std::uint64_t{0};
+    for (const ThreadHistory& h : threads) {
+        for (const LinEvent& e : h) t0 = std::min(t0, e.invoke_ns);
+    }
+    std::ostringstream out;
+    for (std::size_t t = 0; t < threads.size(); ++t) {
+        for (const LinEvent& e : threads[t]) {
+            out << "  t" << t << " [" << (e.invoke_ns - t0) << ", "
+                << (e.response_ns - t0) << "] "
+                << (e.op == LinOp::kPush ? "push " : "pop -> ");
+            if (e.has_value) {
+                out << e.value;
+            } else {
+                out << "empty";
+            }
+            out << "\n";
+        }
+    }
+    return out.str();
 }
 
 }  // namespace sec::testing

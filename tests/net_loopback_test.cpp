@@ -9,6 +9,7 @@
 #include <chrono>
 #include <cstring>
 #include <string>
+#include <thread>  // std::this_thread::sleep_for
 #include <vector>
 
 #include <arpa/inet.h>
@@ -17,6 +18,7 @@
 #include <sys/time.h>
 #include <unistd.h>
 
+#include "exec/worker_pool.hpp"
 #include "net/client.hpp"
 #include "net/protocol.hpp"
 #include "net/server.hpp"
@@ -47,9 +49,11 @@ public:
         if (rcvbuf > 0) {
             ::setsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
         }
-        // A server that never answers fails the test instead of hanging it.
+        // A server that never answers, or never reads, fails the test
+        // instead of hanging it.
         const timeval timeout{10, 0};
         ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+        ::setsockopt(fd_, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof(timeout));
         sockaddr_in addr{};
         addr.sin_family = AF_INET;
         addr.sin_port = htons(port);
@@ -77,11 +81,13 @@ public:
         return receive(resp);
     }
 
+    // MSG_NOSIGNAL: a server that drops the connection fails the test
+    // instead of killing it with SIGPIPE.
     bool send_all(const std::vector<std::uint8_t>& wire) {
         std::size_t off = 0;
         while (off < wire.size()) {
-            const ssize_t n =
-                ::write(fd_, wire.data() + off, wire.size() - off);
+            const ssize_t n = ::send(fd_, wire.data() + off,
+                                     wire.size() - off, MSG_NOSIGNAL);
             if (n <= 0) return false;
             off += static_cast<std::size_t>(n);
         }
@@ -283,10 +289,9 @@ TEST(NetLoopback, FlushesBufferedRepliesOnWritability) {
     ASSERT_TRUE(client.connect_to(server.port(), /*rcvbuf=*/4096));
 
     // Pops of an empty stack: 13-byte requests, 22-byte replies. The
-    // replies total just under the server's 4 MiB cap on unflushed output,
-    // so the connection is never dropped, yet overflow a loopback socket's
-    // send buffer (4 MiB of memory holds ~3.5 MB of payload), so send()
-    // hits EAGAIN and the rest waits for EPOLLOUT.
+    // replies (~4.18 MB) overflow a loopback socket's send buffer (4 MiB of
+    // memory holds ~3.5 MB of payload), so send() hits EAGAIN and the rest
+    // waits for EPOLLOUT.
     constexpr std::uint64_t kReplyBytes = 22;
     constexpr std::uint64_t kRequests =
         (std::uint64_t{4} << 20) / kReplyBytes - 500;
@@ -304,6 +309,54 @@ TEST(NetLoopback, FlushesBufferedRepliesOnWritability) {
         ASSERT_EQ(resp.tag, i);
         ASSERT_FALSE(resp.ok);
     }
+    EXPECT_EQ(server.stats().empties, kRequests);
+
+    server.stop();
+}
+
+// Backpressure: a peer that sends far faster than it reads is slowed by TCP
+// flow control, never dropped. One worker pipelines 400,000 pops (5.2 MB of
+// requests, 8.8 MB of replies — twice what the server may hold unflushed)
+// while another reads the replies slowly through a 4 KiB receive buffer;
+// every reply must arrive, in order.
+TEST(NetLoopback, SlowReaderIsPausedNotDropped) {
+    SecServer server(make_stack(), {});
+    std::string err;
+    ASSERT_TRUE(server.start(&err)) << err;
+
+    SyncClient client;
+    ASSERT_TRUE(client.connect_to(server.port(), /*rcvbuf=*/4096));
+
+    constexpr std::uint64_t kRequests = 400000;
+    std::vector<std::uint8_t> wire;
+    for (std::uint64_t i = 0; i < kRequests; ++i) {
+        Message req;
+        req.type = MsgType::kPopReq;
+        req.tag = i;
+        encode(req, wire);
+    }
+    bool sent = false;
+    std::uint64_t in_order = 0;  // replies received with the expected tag
+    exec::WorkerPool::run(2, [&](exec::WorkerContext& wc) {
+        if (wc.index == 0) {
+            sent = client.send_all(wire);
+            return;
+        }
+        // Let the requests pile up first, then read in small steps with a
+        // pause every 4,096 replies.
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        for (std::uint64_t i = 0; i < kRequests; ++i) {
+            Message resp;
+            if (!client.receive(resp) || resp.tag != i || resp.ok) return;
+            ++in_order;
+            if (i % 4096 == 0) {
+                std::this_thread::sleep_for(std::chrono::milliseconds(1));
+            }
+        }
+    });
+    EXPECT_TRUE(sent) << "the server stopped reading for good";
+    EXPECT_EQ(in_order, kRequests) << "reply " << in_order
+                                   << " missing or out of order";
     EXPECT_EQ(server.stats().empties, kRequests);
 
     server.stop();

@@ -1,7 +1,8 @@
 // sec_config_test.cpp — Config validation and the stats plumbing behind
-// `secbench table1`: aggregator counts 1-5, both mapping modes, and
+// `secbench table1`: aggregator counts 1-5, both mapping modes,
 // collect_stats yielding non-zero batching/elimination degrees on an
-// update-heavy mix.
+// update-heavy mix, and the direct-entry accounting (every push and pop is
+// counted once, as direct or as batched).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -87,6 +88,57 @@ TEST(SecConfigTest, StatsOffByDefault) {
     const sec::StatsSnapshot s = stack.stats();
     EXPECT_EQ(s.batches, 0u);
     EXPECT_EQ(s.batched_ops, 0u);
+    EXPECT_EQ(s.direct_ops, 0u);
+}
+
+// A lone thread never loses a spine CAS, so the contention-sensitive entry
+// completes every push and pop directly and no batch ever forms.
+TEST(SecConfigTest, UncontendedOpsTakeTheDirectPath) {
+    sec::Config cfg;
+    cfg.max_threads = 8;
+    cfg.collect_stats = true;
+    Stack stack(cfg);
+    for (std::uint64_t i = 0; i < 1000; ++i) {
+        stack.push(i);
+        EXPECT_EQ(stack.pop().value(), i);
+    }
+    EXPECT_FALSE(stack.pop().has_value());  // an empty pop is direct too
+    const sec::StatsSnapshot s = stack.stats();
+    EXPECT_EQ(s.direct_ops, 2001u);
+    EXPECT_EQ(s.batches, 0u);
+    EXPECT_EQ(s.batched_ops, 0u);
+    EXPECT_DOUBLE_EQ(s.direct_pct(), 100.0);
+}
+
+// Below max_threads every op has a slot, so each push and pop is counted
+// exactly once: by its owner when its direct CAS landed, by its freezer
+// when it went through a batch.
+TEST(SecConfigTest, DirectPlusBatchedCountsEveryUpdate) {
+    sec::Config cfg;
+    cfg.max_threads = 16;
+    cfg.collect_stats = true;
+    Stack stack(cfg);
+
+    constexpr unsigned kThreads = 4;
+    constexpr std::uint32_t kPerThread = 20000;
+    sec::exec::WorkerPool::run(
+        kThreads, [&stack](sec::exec::WorkerContext& wc) {
+            sec::Xoshiro256 rng((wc.index + 1) * 0x9E3779B97F4A7C15ull);
+            for (std::uint32_t i = 0; i < kPerThread; ++i) {
+                if (rng.next_below(2) == 0) {
+                    stack.push(i);
+                } else {
+                    (void)stack.pop();
+                }
+                // Peeks never reach the entry and are not counted.
+                if (i % 8 == 0) (void)stack.peek();
+            }
+        });
+    const sec::StatsSnapshot s = stack.stats();
+    EXPECT_EQ(s.direct_ops + s.batched_ops,
+              std::uint64_t{kThreads} * kPerThread);
+    EXPECT_GT(s.direct_ops, 0u);
+    EXPECT_EQ(s.eliminated_ops + s.combined_ops, s.batched_ops);
 }
 
 TEST(SecConfigTest, CollectStatsYieldsDegreesOnUpdateHeavyMix) {
@@ -97,10 +149,15 @@ TEST(SecConfigTest, CollectStatsYieldsDegreesOnUpdateHeavyMix) {
 
     constexpr unsigned kThreads = 8;
     constexpr std::uint32_t kPerThread = 20000;
-    // Elimination needs pushes and pops to genuinely overlap; on a heavily
-    // loaded host one round of churn can serialise, so retry (stats
-    // accumulate across rounds) instead of asserting on scheduling luck.
-    for (int round = 0; round < 3; ++round) {
+    // Elimination needs pushes and pops to genuinely overlap inside one
+    // batch, and most uncontended ops now finish on the direct path without
+    // a batch; on a heavily loaded host one round of churn can serialise, so
+    // repeat rounds (stats accumulate across them) until pairs met or a
+    // deadline passes, instead of asserting on scheduling luck.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (stack.stats().eliminated_ops == 0 &&
+           std::chrono::steady_clock::now() < deadline) {
         sec::exec::WorkerPool::run(
             kThreads, [&stack](sec::exec::WorkerContext& wc) {
                 const unsigned t = wc.index;
@@ -114,7 +171,6 @@ TEST(SecConfigTest, CollectStatsYieldsDegreesOnUpdateHeavyMix) {
                     }
                 }
             });
-        if (stack.stats().eliminated_ops > 0) break;
     }
 
     const sec::StatsSnapshot s = stack.stats();

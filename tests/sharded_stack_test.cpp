@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -127,15 +128,29 @@ TEST(ShardedStack, QuiescentEmptyVerdictIsExact) {
 TEST(ShardedStack, StatsAggregateAcrossShards) {
     auto stack = make_sharded(2, 64, /*collect_stats=*/true);
     constexpr unsigned kThreads = 4;
-    sec::exec::WorkerPool::run(kThreads, [&](sec::exec::WorkerContext&) {
-        for (Value v = 0; v < 20000; ++v) {
-            stack->push(v);
-            (void)stack->pop();
-        }
-    });
+    // Uncontended ops finish on the inner stacks' direct path without a
+    // batch, so repeat the churn until some shard batched or a deadline
+    // passes rather than assert on one round's scheduling.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (stack->stats().batches == 0 &&
+           std::chrono::steady_clock::now() < deadline) {
+        sec::exec::WorkerPool::run(kThreads, [&](sec::exec::WorkerContext&) {
+            for (Value v = 0; v < 20000; ++v) {
+                stack->push(v);
+                (void)stack->pop();
+            }
+        });
+    }
     const sec::StatsSnapshot s = stack->stats();
     EXPECT_GT(s.batches, 0u);
     EXPECT_EQ(s.eliminated_ops + s.combined_ops, s.batched_ops);
+    // Every inner push and pop is counted once, direct or batched: the
+    // facade's pushes and pops (hits and empties) plus each steal probe,
+    // which is one more inner pop.
+    const sec::shard::ShardStats ss = stack->shard_stats();
+    EXPECT_EQ(s.direct_ops + s.batched_ops,
+              ss.pushes + ss.pops + ss.empty_pops + ss.steal_probes);
 }
 
 constexpr Value tag(unsigned thread, std::uint32_t seq) {
