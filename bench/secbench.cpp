@@ -1,21 +1,24 @@
-// secbench.cpp — the unified scenario driver: every experiment the ten
-// per-figure binaries used to hard-code, behind one CLI over the algorithm
-// and scenario registries (workload/registry.hpp).
+// secbench.cpp — the unified scenario driver: every experiment behind one
+// CLI over the algorithm and scenario registries (workload/registry.hpp).
 //
 //   secbench --list
 //   secbench fig2 --algos SEC,TRB --threads 1,4,16 --csv out.csv
 //   secbench all --smoke
 //
-// Defaults layer over EnvConfig, so the SEC_BENCH_* environment knobs (and
-// SEC_BENCH_PAPER=1) keep working; explicit flags win over the environment.
+// Every flag is one row of kFlags: its value kind, its help line, and where
+// its value goes. One loop parses every row, one message per kind rejects a
+// bad value with exit status 2, and --help prints the same table. Presets
+// apply before the explicit flags, in a fixed order: --paper, then
+// --smoke, then the configuration a --baseline snapshot records.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <thread>
+#include <variant>
 #include <vector>
 
 #include "core/sharded_stack.hpp"
@@ -29,76 +32,200 @@ namespace sb = sec::bench;
 
 namespace {
 
-int usage(std::FILE* out) {
+// What the command line said. An empty optional, vector or null string
+// means the flag was not given.
+struct Args {
+    std::vector<std::string> scenarios;  // positional names and --scenario
+    std::vector<unsigned> threads;
+    std::optional<std::uint64_t> duration_ms, runs, prefill, value_range, seed,
+        shards, port, repeats;
+    std::optional<double> load, tolerance;
+    const char *algos = nullptr, *pin = nullptr, *reclaim = nullptr,
+               *sweep = nullptr, *arrival = nullptr, *csv = nullptr,
+               *json = nullptr, *baseline = nullptr;
+    bool smoke = false, paper = false, help = false, list = false;
+};
+
+// The kinds of flag value: one grammar and one rejection message each.
+enum class Kind {
+    kUnsigned,  // digits only, within [lo, hi]
+    kDecimal,   // [0-9]+(.[0-9]+)? only; lo = 1 also demands a value above 0
+    kGrid,      // comma-separated positive integers (sb::parse_grid)
+    kChoice,    // a name `valid` accepts; `meta` lists them
+    kText,      // a path or a name, checked where it is used
+    kSwitch,    // takes no value
+};
+
+// Where a flag's value goes: the Args member of its kind's type. A kText
+// flag into a vector appends; every other flag overwrites.
+using Dest = std::variant<std::optional<std::uint64_t> Args::*,
+                          std::optional<double> Args::*,
+                          std::vector<unsigned> Args::*, const char* Args::*,
+                          std::vector<std::string> Args::*, bool Args::*>;
+
+struct Flag {
+    const char* name;
+    Kind kind;
+    Dest dest;
+    const char* meta;  // the value in --help (kChoice: the accepted names)
+    const char* help;  // '\n' continues the line, indented
+    std::uint64_t lo = 0;
+    std::uint64_t hi = 0;
+    bool (*valid)(const char*) = nullptr;  // kChoice only
+};
+
+constexpr std::uint64_t kMaxUnsigned = std::numeric_limits<unsigned>::max();
+constexpr std::uint64_t kMaxSize = std::numeric_limits<std::size_t>::max();
+constexpr std::uint64_t kMaxU64 = std::numeric_limits<std::uint64_t>::max();
+
+bool valid_pin(const char* v) {
+    return sec::topo::parse_pin_policy(v).has_value();
+}
+bool valid_arrival(const char* v) { return sb::parse_arrival(v).has_value(); }
+
+const Flag kFlags[] = {
+    {"--help", Kind::kSwitch, &Args::help, nullptr, "print this help (also -h)"},
+    {"--list", Kind::kSwitch, &Args::list, nullptr,
+     "print scenarios, algorithms and reclaimers"},
+    {"--scenario", Kind::kText, &Args::scenarios, "NAME",
+     "same as a positional scenario name"},
+    {"--algos", Kind::kText, &Args::algos, "A,B,...",
+     "algorithms (default: the six paper competitors)"},
+    {"--threads", Kind::kGrid, &Args::threads, "1,4,16", "thread grid"},
+    {"--duration-ms", Kind::kUnsigned, &Args::duration_ms, "N",
+     "measured window per data point", 1, kMaxUnsigned},
+    {"--runs", Kind::kUnsigned, &Args::runs, "N", "repetitions per data point",
+     1, kMaxUnsigned},
+    {"--prefill", Kind::kUnsigned, &Args::prefill, "N",
+     "nodes pushed before the window opens", 0, kMaxSize},
+    {"--value-range", Kind::kUnsigned, &Args::value_range, "N",
+     "value universe for pushes", 1, kMaxSize},
+    {"--seed", Kind::kUnsigned, &Args::seed, "N",
+     "base seed of the per-worker op-mix RNGs", 0, kMaxU64},
+    {"--pin", Kind::kChoice, &Args::pin, "none|compact|scatter|smt",
+     "worker placement (best-effort; DESIGN.md §13)", 0, 0, valid_pin},
+    {"--reclaim", Kind::kText, &Args::reclaim, "SCHEME",
+     "run the ALGO@SCHEME variants (default ebr)"},
+    {"--sweep", Kind::kText, &Args::sweep, "SPEC",
+     "SEC tuning-surface cross-product, e.g.\nagg=1:5,backoff=0:4096; ranges "
+     "lo:hi[:step]"},
+    {"--shards", Kind::kUnsigned, &Args::shards, "K",
+     "pin the 'sharding' scenario to K shards", 1, sec::shard::kMaxShards},
+    {"--load", Kind::kDecimal, &Args::load, "KOPS",
+     "'service' offered load (and 'knee' start)", 1},
+    {"--arrival", Kind::kChoice, &Args::arrival, "poisson|burst",
+     "arrival process for 'service'/'knee'", 0, 0, valid_arrival},
+    {"--port", Kind::kUnsigned, &Args::port, "N",
+     "'net_service' target: a secserve on\n127.0.0.1:N (0: in-process "
+     "server)",
+     0, 65535},
+    {"--csv", Kind::kText, &Args::csv, "PATH",
+     "also write table,key,column,value rows here"},
+    {"--json", Kind::kText, &Args::json, "PATH",
+     "write a BENCH_*.json snapshot (REPRODUCING §6)"},
+    {"--baseline", Kind::kText, &Args::baseline, "PATH",
+     "re-run a snapshot's configuration, compare per\ncell; exit 1 on "
+     "regressions beyond tolerance"},
+    {"--repeats", Kind::kUnsigned, &Args::repeats, "N",
+     "median-of-N snapshot repeats (default 1, or\nthe baseline's count)", 1,
+     1000},
+    {"--tolerance", Kind::kDecimal, &Args::tolerance, "PCT",
+     "--baseline gate width, percent (default 10)"},
+    {"--smoke", Kind::kSwitch, &Args::smoke, nullptr,
+     "tiny smoke preset (25 ms, 2 threads, 1 run)"},
+    {"--paper", Kind::kSwitch, &Args::paper, nullptr,
+     "the paper's 5 s x 5-run methodology"},
+};
+
+int print_help(std::FILE* out) {
     std::fprintf(out,
                  "usage:\n"
                  "  secbench --list\n"
                  "  secbench <scenario>... [options]\n"
                  "  secbench all [options]\n"
-                 "options:\n"
-                 "  --algos A,B,...    algorithm selection (default: the six "
-                 "paper competitors)\n"
-                 "  --threads 1,4,16   thread grid override\n"
-                 "  --duration-ms N    measured window per data point\n"
-                 "  --runs N           repetitions per data point\n"
-                 "  --prefill N        nodes pushed before the window opens\n"
-                 "  --value-range N    value universe for pushes\n"
-                 "  --csv PATH         also write table,threads,column,value "
-                 "rows to PATH\n"
-                 "  --seed N           base seed for per-worker op-mix RNGs "
-                 "(reproducible runs)\n"
-                 "  --reclaim SCHEME   run selected algorithms over this "
-                 "reclamation scheme\n"
-                 "                     (ebr default; hp / qsbr / leak pick "
-                 "the ALGO@scheme variants)\n"
-                 "  --sweep SPEC       SEC tuning-surface cross-product, "
-                 "e.g. agg=1:5,backoff=0:4096\n"
-                 "                     (runs the 'sweep' scenario; ranges "
-                 "are lo:hi[:step], '+' unions\n"
-                 "                     values, backoff doubles from 64ns "
-                 "without a step)\n"
-                 "  --shards K         pin the 'sharding' scenario to one "
-                 "shard count\n"
-                 "  --load KOPS        offered load in Kops/s for the "
-                 "'service' scenario\n"
-                 "                     (and the 'knee' search's starting "
-                 "probe)\n"
-                 "  --arrival KIND     arrival process for 'service'/'knee': "
-                 "poisson | burst\n"
-                 "  --port N           'net_service': target an already-"
-                 "running secserve on\n"
-                 "                     127.0.0.1:N instead of an in-process "
-                 "server\n"
-                 "  --pin POLICY       worker placement: none | compact | "
-                 "scatter | smt\n"
-                 "                     (topology-aware cpu pinning; "
-                 "best-effort where\n"
-                 "                     affinity is restricted — see "
-                 "DESIGN.md §13)\n"
-                 "  --scenario NAME    alias for the positional scenario "
-                 "argument\n"
-                 "  --json PATH        write a BENCH_*.json perf snapshot "
-                 "(every cell + run\n"
-                 "                     metadata; REPRODUCING.md documents "
-                 "the schema)\n"
-                 "  --baseline PATH    re-run the pinned config a snapshot "
-                 "records and compare\n"
-                 "                     per cell (median-of-N + scale "
-                 "normalization); exit 1 on\n"
-                 "                     regressions beyond tolerance\n"
-                 "  --repeats N        snapshot repetitions for the "
-                 "median-of-N noise guard\n"
-                 "                     (default 1; --baseline defaults to "
-                 "the baseline's count)\n"
-                 "  --tolerance PCT    gate width for --baseline, percent "
-                 "(default 10)\n"
-                 "  --smoke            tiny smoke preset (25 ms, 2 threads, 1 "
-                 "run)\n"
-                 "  --paper            the paper's 5 s x 5-run methodology\n"
-                 "environment: SEC_BENCH_DURATION_MS / _RUNS / _THREADS / "
-                 "_PREFILL / _VALUE_RANGE / _SEED / _RECLAIM / _SHARDS / "
-                 "_LOAD / _ARRIVAL / _PORT / _PIN / _COUNTERS / _PAPER\n");
+                 "options:\n");
+    for (const Flag& f : kFlags) {
+        std::string lead = f.name;
+        if (f.meta != nullptr) lead = lead + ' ' + f.meta;
+        std::fprintf(out, "  %-30s ", lead.c_str());
+        for (const char* c = f.help; *c != '\0'; ++c) {
+            std::fputc(*c, out);
+            if (*c == '\n') std::fprintf(out, "  %-30s ", "");
+        }
+        std::fputc('\n', out);
+    }
     return out == stderr ? 2 : 0;
+}
+
+const Flag* find_flag(std::string_view name) {
+    if (name == "-h") name = "--help";
+    for (const Flag& f : kFlags) {
+        if (name == f.name) return &f;
+    }
+    return nullptr;
+}
+
+template <class T>
+T& member(Args& a, const Flag& f) {
+    return a.*std::get<T Args::*>(f.dest);
+}
+
+// Parse `value` by the flag's kind into its Args member; false when the
+// value breaks the kind's grammar or range.
+bool store(const Flag& f, const char* value, Args& a) {
+    switch (f.kind) {
+        case Kind::kUnsigned: {
+            std::uint64_t n = 0;
+            if (!sb::parse_u64_strict(value, n) || n < f.lo || n > f.hi) {
+                return false;
+            }
+            member<std::optional<std::uint64_t>>(a, f) = n;
+            return true;
+        }
+        case Kind::kDecimal: {
+            double d = 0;
+            if (!sb::parse_decimal_strict(value, d) || (f.lo > 0 && d == 0)) {
+                return false;
+            }
+            member<std::optional<double>>(a, f) = d;
+            return true;
+        }
+        case Kind::kGrid:
+            member<std::vector<unsigned>>(a, f) = sb::parse_grid(value);
+            return !member<std::vector<unsigned>>(a, f).empty();
+        case Kind::kChoice:
+            if (!f.valid(value)) return false;
+            [[fallthrough]];
+        case Kind::kText:
+            if (auto* list =
+                    std::get_if<std::vector<std::string> Args::*>(&f.dest)) {
+                (a.**list).push_back(value);
+            } else {
+                member<const char*>(a, f) = value;
+            }
+            return true;
+        case Kind::kSwitch:
+            member<bool>(a, f) = true;
+            return true;
+    }
+    return false;
+}
+
+// What a value of the flag's kind must look like: the one rejection
+// message per kind.
+std::string expected(const Flag& f) {
+    switch (f.kind) {
+        case Kind::kUnsigned:
+            return "an integer in [" + std::to_string(f.lo) + ", " +
+                   std::to_string(f.hi) + "]";
+        case Kind::kDecimal:
+            return f.lo > 0 ? "a plain decimal above 0, like 12 or 2.5"
+                            : "a plain decimal, like 12 or 2.5";
+        case Kind::kGrid:
+            return "a list of positive integers";
+        default:
+            return std::string("one of ") + f.meta;
+    }
 }
 
 int list_registries() {
@@ -117,22 +244,7 @@ int list_registries() {
     for (const sb::ReclaimerSpec* r : sb::ReclaimerRegistry::instance().all()) {
         std::printf("  %-18s %s\n", r->name.c_str(), r->description.c_str());
     }
-    std::printf(
-        "net env: SEC_BENCH_PORT (net_service/secserve target port; 0 or\n"
-        "unset = in-process server on an ephemeral port)\n");
     return 0;
-}
-
-// Strict parse of a --shards / SEC_BENCH_SHARDS value: a typo must not
-// silently fall back to a different experiment (the sweep engine's loud
-// clamp warning is the precedent). Returns 0 on garbage or out-of-range.
-unsigned parse_shards(const char* value) {
-    std::uint64_t parsed = 0;
-    if (!sb::parse_u64_strict(value, parsed) || parsed == 0 ||
-        parsed > sec::shard::kMaxShards) {
-        return 0;
-    }
-    return static_cast<unsigned>(parsed);
 }
 
 std::vector<std::string> split_csv(const char* arg) {
@@ -153,261 +265,73 @@ std::vector<std::string> split_csv(const char* arg) {
 }  // namespace
 
 int main(int argc, char** argv) {
-    std::vector<std::string> scenarios;
-    std::vector<std::string> algo_names;
-    const char* csv_path = nullptr;
-    const char* json_path = nullptr;
-    const char* baseline_path = nullptr;
-    unsigned repeats = 0;      // 0 = default (1, or the baseline's count)
-    double tolerance = 10.0;   // --baseline gate width, percent
-    const char* reclaim_scheme = nullptr;
-    const char* sweep_spec = nullptr;
-    unsigned shards = 0;
-    double load_kops = 0;
-    const char* arrival = nullptr;
-    long long port = -1;  // -1 = not given (0 is a valid "in-process" value)
-    const char* pin = nullptr;
-    bool smoke = false;
-    bool run_all = false;
-
-    // Flags that override EnvConfig after it loads (0 / empty / nullopt =
-    // not given).
-    unsigned duration_ms = 0, runs = 0;
-    std::size_t value_range = 0;
-    std::optional<std::uint64_t> prefill, seed;
-    std::vector<unsigned> thread_grid;
-
-    auto next_value = [&](int& i, const char* flag) -> const char* {
-        if (i + 1 >= argc) {
-            std::fprintf(stderr, "secbench: %s needs a value\n", flag);
-            std::exit(2);
-        }
-        return argv[++i];
-    };
-    // Numeric flags parse like their SEC_BENCH_* twins (workload/env.hpp),
-    // but a bad value is an error here, as for --shards.
-    auto unsigned_value = [&](int& i, const char* flag,
-                              std::uint64_t max) -> std::uint64_t {
-        const char* value = next_value(i, flag);
-        std::uint64_t parsed = 0;
-        if (!sb::parse_u64_strict(value, parsed) || parsed > max) {
-            std::fprintf(stderr,
-                         "secbench: %s '%s' must be an unsigned integer no "
-                         "larger than %llu\n",
-                         flag, value, static_cast<unsigned long long>(max));
-            std::exit(2);
-        }
-        return parsed;
-    };
-    constexpr std::uint64_t kMaxUnsigned =
-        std::numeric_limits<unsigned>::max();
-    constexpr std::uint64_t kMaxSize = std::numeric_limits<std::size_t>::max();
-
+    Args a;
     for (int i = 1; i < argc; ++i) {
         const char* arg = argv[i];
-        if (std::strcmp(arg, "--help") == 0 || std::strcmp(arg, "-h") == 0) {
-            return usage(stdout);
-        } else if (std::strcmp(arg, "--list") == 0) {
-            return list_registries();
-        } else if (std::strcmp(arg, "--algos") == 0) {
-            algo_names = split_csv(next_value(i, arg));
-        } else if (std::strcmp(arg, "--threads") == 0) {
-            const char* value = next_value(i, arg);
-            thread_grid = sb::parse_grid(value);
-            if (thread_grid.empty()) {
-                std::fprintf(stderr,
-                             "secbench: --threads '%s' must be a list of "
-                             "positive integers\n",
-                             value);
-                return 2;
+        const Flag* flag = find_flag(arg);
+        if (flag == nullptr) {
+            if (arg[0] == '-') {
+                std::fprintf(stderr, "secbench: unknown option '%s'\n", arg);
+                return print_help(stderr);
             }
-        } else if (std::strcmp(arg, "--duration-ms") == 0) {
-            duration_ms = static_cast<unsigned>(
-                unsigned_value(i, arg, kMaxUnsigned));
-        } else if (std::strcmp(arg, "--runs") == 0) {
-            runs = static_cast<unsigned>(unsigned_value(i, arg, kMaxUnsigned));
-        } else if (std::strcmp(arg, "--prefill") == 0) {
-            prefill = unsigned_value(i, arg, kMaxSize);
-        } else if (std::strcmp(arg, "--value-range") == 0) {
-            value_range =
-                static_cast<std::size_t>(unsigned_value(i, arg, kMaxSize));
-        } else if (std::strcmp(arg, "--csv") == 0) {
-            csv_path = next_value(i, arg);
-        } else if (std::strcmp(arg, "--json") == 0) {
-            json_path = next_value(i, arg);
-        } else if (std::strcmp(arg, "--baseline") == 0) {
-            baseline_path = next_value(i, arg);
-        } else if (std::strcmp(arg, "--repeats") == 0) {
-            // Strict like --shards: a typo must not silently collapse the
-            // noise guard to a single run.
-            const char* value = next_value(i, arg);
-            std::uint64_t parsed = 0;
-            if (!sb::parse_u64_strict(value, parsed) || parsed == 0 ||
-                parsed > 1000) {
-                std::fprintf(stderr,
-                             "secbench: --repeats '%s' must be an integer "
-                             "in [1, 1000]\n",
-                             value);
-                return 2;
-            }
-            repeats = static_cast<unsigned>(parsed);
-        } else if (std::strcmp(arg, "--tolerance") == 0) {
-            const char* value = next_value(i, arg);
-            char* end = nullptr;
-            tolerance = std::strtod(value, &end);
-            if (end == value || *end != '\0' || !(tolerance >= 0)) {
-                std::fprintf(stderr,
-                             "secbench: --tolerance '%s' must be a "
-                             "non-negative percent value\n",
-                             value);
-                return 2;
-            }
-        } else if (std::strcmp(arg, "--seed") == 0) {
-            seed = unsigned_value(i, arg,
-                                  std::numeric_limits<std::uint64_t>::max());
-        } else if (std::strcmp(arg, "--reclaim") == 0) {
-            reclaim_scheme = next_value(i, arg);
-        } else if (std::strcmp(arg, "--sweep") == 0) {
-            sweep_spec = next_value(i, arg);
-        } else if (std::strcmp(arg, "--shards") == 0) {
-            const char* value = next_value(i, arg);
-            shards = parse_shards(value);
-            if (shards == 0) {
-                std::fprintf(stderr,
-                             "secbench: --shards '%s' must be an integer in "
-                             "[1, %zu]\n",
-                             value, sec::shard::kMaxShards);
-                return 2;
-            }
-        } else if (std::strcmp(arg, "--load") == 0) {
-            // Strict like --shards: a mistyped load must not silently run
-            // the scenario's default offered load instead.
-            const char* value = next_value(i, arg);
-            char* end = nullptr;
-            load_kops = std::strtod(value, &end);
-            if (end == value || *end != '\0' || !(load_kops > 0)) {
-                std::fprintf(stderr,
-                             "secbench: --load '%s' must be a positive "
-                             "Kops/s value\n",
-                             value);
-                return 2;
-            }
-        } else if (std::strcmp(arg, "--port") == 0) {
-            // Strict like --shards: a typo must not silently swing between
-            // remote and in-process measurement.
-            const char* value = next_value(i, arg);
-            std::uint64_t parsed = 0;
-            if (!sb::parse_u64_strict(value, parsed) || parsed > 65535) {
-                std::fprintf(stderr,
-                             "secbench: --port '%s' must be an integer in "
-                             "[0, 65535]\n",
-                             value);
-                return 2;
-            }
-            port = static_cast<long long>(parsed);
-        } else if (std::strcmp(arg, "--pin") == 0) {
-            // Strict like --shards: a typo must not silently run unpinned
-            // and masquerade as a placement measurement.
-            pin = next_value(i, arg);
-            if (!sec::topo::parse_pin_policy(pin)) {
-                std::fprintf(stderr,
-                             "secbench: --pin '%s' must be none, compact, "
-                             "scatter, or smt\n",
-                             pin);
-                return 2;
-            }
-        } else if (std::strcmp(arg, "--arrival") == 0) {
-            arrival = next_value(i, arg);
-            if (!sb::parse_arrival(arrival)) {
-                std::fprintf(stderr,
-                             "secbench: --arrival '%s' must be poisson or "
-                             "burst\n",
-                             arrival);
-                return 2;
-            }
-        } else if (std::strcmp(arg, "--scenario") == 0) {
-            // True alias for the positional form — including `all`.
-            const char* name = next_value(i, arg);
-            if (std::strcmp(name, "all") == 0) {
-                run_all = true;
-            } else {
-                scenarios.push_back(name);
-            }
-        } else if (std::strcmp(arg, "--smoke") == 0) {
-            smoke = true;
-        } else if (std::strcmp(arg, "--paper") == 0) {
-            setenv("SEC_BENCH_PAPER", "1", 1);
-        } else if (std::strcmp(arg, "all") == 0) {
-            run_all = true;
-        } else if (arg[0] == '-') {
-            std::fprintf(stderr, "secbench: unknown option '%s'\n", arg);
-            return usage(stderr);
-        } else {
-            scenarios.push_back(arg);
+            a.scenarios.push_back(arg);
+            continue;
         }
+        const char* value = nullptr;
+        if (flag->kind != Kind::kSwitch) {
+            if (i + 1 >= argc) {
+                std::fprintf(stderr, "secbench: %s needs a value\n", arg);
+                return 2;
+            }
+            value = argv[++i];
+        }
+        if (!store(*flag, value, a)) {
+            std::fprintf(stderr, "secbench: %s '%s' must be %s\n", arg, value,
+                         expected(*flag).c_str());
+            return 2;
+        }
+        if (a.help) return print_help(stdout);
+        if (a.list) return list_registries();
     }
+
+    const bool run_all = std::erase(a.scenarios, "all") > 0;
+    std::vector<std::string> scenarios = std::move(a.scenarios);
     // --sweep SPEC implies the sweep scenario when none was named (so
     // `secbench --sweep agg=1:5,backoff=0:4096` just works); with explicit
     // scenarios it only parameterizes a `sweep` among them.
-    if (sweep_spec != nullptr && scenarios.empty() && !run_all) {
+    if (a.sweep != nullptr && scenarios.empty() && !run_all) {
         scenarios.push_back("sweep");
     }
-    if (!run_all && scenarios.empty() && baseline_path == nullptr) {
-        return usage(stderr);
+    if (!run_all && scenarios.empty() && a.baseline == nullptr) {
+        return print_help(stderr);
     }
 
     sb::ScenarioContext ctx;
-    ctx.env = sb::EnvConfig::load();
-    ctx.smoke = smoke;
-    if (sweep_spec != nullptr) ctx.sweep_spec = sweep_spec;
-    if (shards == 0) {
-        if (const char* env_shards = std::getenv("SEC_BENCH_SHARDS")) {
-            shards = parse_shards(env_shards);
-            if (shards == 0 && *env_shards != '\0') {
-                // Environment garbage is a warning, not an error — the
-                // lenient contract every other SEC_BENCH_* knob follows.
-                std::fprintf(stderr,
-                             "secbench: ignoring SEC_BENCH_SHARDS='%s' (not "
-                             "an integer in [1, %zu])\n",
-                             env_shards, sec::shard::kMaxShards);
-            }
+    ctx.smoke = a.smoke;
+    ctx.paper = a.paper;
+    if (a.sweep != nullptr) ctx.sweep_spec = a.sweep;
+    ctx.shards = static_cast<unsigned>(a.shards.value_or(0));
+    ctx.load_kops = a.load.value_or(0);
+    if (a.arrival != nullptr) ctx.arrival = a.arrival;
+    if (a.port) ctx.env.port = static_cast<unsigned>(*a.port);
+    std::vector<std::string> algo_names;
+    if (a.algos != nullptr) algo_names = split_csv(a.algos);
+    const char* reclaim_scheme = a.reclaim;
+    unsigned repeats = static_cast<unsigned>(a.repeats.value_or(0));
+
+    if (a.paper) {
+        // The paper's methodology: 5 s windows, 5 runs, grid up to twice
+        // the machine's hardware threads.
+        ctx.env.duration_ms = 5000;
+        ctx.env.runs = 5;
+        const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+        ctx.env.threads.clear();
+        for (unsigned t : {1u, 2u, 4u, 8u, 16u, 24u, 32u, 48u, 64u, 96u,
+                           128u}) {
+            if (t <= 2 * hw) ctx.env.threads.push_back(t);
         }
     }
-    ctx.shards = shards;
-    if (load_kops == 0) {
-        if (const char* env_load = std::getenv("SEC_BENCH_LOAD")) {
-            char* end = nullptr;
-            const double parsed = std::strtod(env_load, &end);
-            if (end != env_load && *end == '\0' && parsed > 0) {
-                load_kops = parsed;
-            } else if (*env_load != '\0') {
-                // Environment garbage is a warning, not an error — the
-                // lenient contract every other SEC_BENCH_* knob follows.
-                std::fprintf(stderr,
-                             "secbench: ignoring SEC_BENCH_LOAD='%s' (not a "
-                             "positive Kops/s value)\n",
-                             env_load);
-            }
-        }
-    }
-    ctx.load_kops = load_kops;
-    if (arrival == nullptr) {
-        if (const char* env_arrival = std::getenv("SEC_BENCH_ARRIVAL")) {
-            if (sb::parse_arrival(env_arrival)) {
-                arrival = env_arrival;
-            } else if (*env_arrival != '\0') {
-                std::fprintf(stderr,
-                             "secbench: ignoring SEC_BENCH_ARRIVAL='%s' "
-                             "(poisson or burst)\n",
-                             env_arrival);
-            }
-        }
-    }
-    if (arrival != nullptr) ctx.arrival = arrival;
-    // SEC_BENCH_PORT already sits in ctx.env (strict parsing with a loud
-    // warning in EnvConfig::load); the flag overrides.
-    if (port >= 0) ctx.env.port = static_cast<unsigned>(port);
-    if (smoke) {
+    if (a.smoke) {
         // Tiny budget: every scenario exercised, nothing measured seriously.
         ctx.env.duration_ms = 25;
         ctx.env.runs = 1;
@@ -419,11 +343,11 @@ int main(int argc, char** argv) {
     // the compare is like-for-like by construction. Explicit flags given
     // alongside still win (they are applied below).
     sb::json::Snapshot baseline;
-    if (baseline_path != nullptr) {
+    if (a.baseline != nullptr) {
         std::string err;
-        if (!sb::json::read_snapshot(baseline_path, baseline, &err)) {
+        if (!sb::json::read_snapshot(a.baseline, baseline, &err)) {
             std::fprintf(stderr, "secbench: cannot read baseline '%s': %s\n",
-                         baseline_path, err.c_str());
+                         a.baseline, err.c_str());
             return 2;
         }
         if (scenarios.empty() && !run_all) {
@@ -432,7 +356,7 @@ int main(int argc, char** argv) {
                 std::fprintf(stderr,
                              "secbench: baseline '%s' names no scenarios and "
                              "none were given\n",
-                             baseline_path);
+                             a.baseline);
                 return 2;
             }
         }
@@ -442,7 +366,7 @@ int main(int argc, char** argv) {
         if (reclaim_scheme == nullptr && !baseline.meta.reclaim.empty()) {
             reclaim_scheme = baseline.meta.reclaim.c_str();
         }
-        ctx.smoke = smoke || baseline.meta.smoke;
+        ctx.smoke = a.smoke || baseline.meta.smoke;
         if (baseline.meta.duration_ms > 0) {
             ctx.env.duration_ms = baseline.meta.duration_ms;
         }
@@ -458,17 +382,20 @@ int main(int argc, char** argv) {
         if (!baseline.meta.pin.empty()) ctx.env.pin = baseline.meta.pin;
         if (repeats == 0) repeats = std::max(1u, baseline.meta.repeats);
     }
-    if (pin != nullptr) ctx.env.pin = pin;
-    if (duration_ms > 0) ctx.env.duration_ms = duration_ms;
-    if (runs > 0) ctx.env.runs = runs;
-    if (prefill) ctx.env.prefill = static_cast<std::size_t>(*prefill);
-    if (value_range > 0) ctx.env.value_range = value_range;
-    if (seed) ctx.env.seed = *seed;
-    if (!thread_grid.empty()) {
-        // Same live-thread bound the environment path applies in
-        // EnvConfig::load — a warned clamp, not a silent rewrite.
-        sb::clamp_thread_grid(thread_grid, "--threads");
-        ctx.env.threads = thread_grid;
+    if (a.pin != nullptr) ctx.env.pin = a.pin;
+    if (a.duration_ms) {
+        ctx.env.duration_ms = static_cast<unsigned>(*a.duration_ms);
+    }
+    if (a.runs) ctx.env.runs = static_cast<unsigned>(*a.runs);
+    if (a.prefill) ctx.env.prefill = static_cast<std::size_t>(*a.prefill);
+    if (a.value_range) {
+        ctx.env.value_range = static_cast<std::size_t>(*a.value_range);
+    }
+    if (a.seed) ctx.env.seed = *a.seed;
+    if (!a.threads.empty()) {
+        // A warned clamp to the live-thread bound, not a silent rewrite.
+        sb::clamp_thread_grid(a.threads);
+        ctx.env.threads = a.threads;
     }
 
     auto& algo_reg = sb::AlgorithmRegistry::instance();
@@ -487,12 +414,9 @@ int main(int argc, char** argv) {
         }
     }
 
-    // --reclaim SCHEME (or SEC_BENCH_RECLAIM): rebind the selection to the
-    // ALGO@scheme variants. "ebr" is the plain names' built-in binding, so
-    // it leaves the selection (and thus all scenario keys) untouched.
-    if (reclaim_scheme == nullptr) {
-        reclaim_scheme = std::getenv("SEC_BENCH_RECLAIM");
-    }
+    // --reclaim SCHEME: rebind the selection to the ALGO@scheme variants.
+    // "ebr" is the plain names' built-in binding, so it leaves the
+    // selection (and thus all scenario keys) untouched.
     if (reclaim_scheme != nullptr && *reclaim_scheme != '\0') {
         auto& rec_reg = sb::ReclaimerRegistry::instance();
         if (rec_reg.find(reclaim_scheme) == nullptr) {
@@ -563,11 +487,11 @@ int main(int argc, char** argv) {
     }
 
     std::FILE* csv = nullptr;
-    if (csv_path != nullptr) {
-        csv = std::fopen(csv_path, "w");
+    if (a.csv != nullptr) {
+        csv = std::fopen(a.csv, "w");
         if (csv == nullptr) {
             std::fprintf(stderr, "secbench: cannot open '%s' for writing\n",
-                         csv_path);
+                         a.csv);
             return 2;
         }
         sb::Table::write_csv_header(csv);
@@ -584,7 +508,7 @@ int main(int argc, char** argv) {
     // Snapshot runs: repeat the whole scenario list `repeats` times, each
     // into its own cell set, and keep per-cell medians (the noise guard).
     // Without --json/--baseline there is nothing to median, so one pass.
-    const bool want_snapshot = json_path != nullptr || baseline_path != nullptr;
+    const bool want_snapshot = a.json != nullptr || a.baseline != nullptr;
     const unsigned reps = want_snapshot ? std::max(1u, repeats) : 1;
     if (!want_snapshot && repeats > 1) {
         std::fprintf(stderr,
@@ -634,17 +558,17 @@ int main(int argc, char** argv) {
         meta.pin = ctx.env.pin.empty() ? "none" : ctx.env.pin;
         current.meta = std::move(meta);
 
-        if (json_path != nullptr) {
+        if (a.json != nullptr) {
             std::string err;
-            if (sb::json::write_snapshot(current, json_path, &err)) {
+            if (sb::json::write_snapshot(current, a.json, &err)) {
                 std::fprintf(stderr, "# wrote %zu cells to %s\n",
-                             current.cells.size(), json_path);
+                             current.cells.size(), a.json);
             } else {
                 std::fprintf(stderr, "secbench: %s\n", err.c_str());
                 if (rc == 0) rc = 2;
             }
         }
-        if (baseline_path != nullptr) {
+        if (a.baseline != nullptr) {
             // Topology drift warns but never fails: the compare already
             // scale-normalizes cross-machine speed, but a shape change
             // (socket count, SMT, pin policy) is context every surprising
@@ -659,7 +583,8 @@ int main(int argc, char** argv) {
                              drift.c_str());
             }
             const sb::json::CompareResult cmp =
-                sb::json::compare(baseline, current, tolerance);
+                sb::json::compare(baseline, current,
+                                  a.tolerance.value_or(10.0));
             sb::json::print_compare(cmp, stdout);
             if (!cmp.ok() && rc == 0) rc = 1;
         }

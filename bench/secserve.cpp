@@ -3,10 +3,9 @@
 //
 //   secserve --algo SEC@shard4 --port 7777
 //
-// Defaults come from the environment (SEC_BENCH_PORT / SEC_BENCH_PIN, strict
-// parsing in workload/env.hpp); flags override. Port 0 binds an
-// ephemeral port — the bound port is printed on stdout (flushed) so a
-// wrapper script can read it. Runs until SIGINT/SIGTERM, then prints the
+// Port 0 (the default) binds an ephemeral port — the bound port is printed
+// on stdout (flushed) so a wrapper script can read it. By default the
+// event-loop thread is not pinned. Runs until SIGINT/SIGTERM, then prints the
 // server counters and exits 0.
 #include <atomic>
 #include <chrono>
@@ -34,12 +33,11 @@ void usage() {
         "usage: secserve [--algo NAME] [--port N] [--pin POLICY] [--list]\n"
         "  --algo NAME     registry algorithm to serve (default SEC);\n"
         "                  any ALGO@scheme name, e.g. SEC@shard4\n"
-        "  --port N        TCP port on 127.0.0.1 (default SEC_BENCH_PORT,\n"
-        "                  else 0 = ephemeral; the bound port is printed)\n"
+        "  --port N        TCP port on 127.0.0.1 (default 0 = ephemeral;\n"
+        "                  the bound port is printed)\n"
         "  --pin POLICY    pin the event-loop thread: none | compact |\n"
-        "                  scatter | smt (default SEC_BENCH_PIN, else none)\n"
-        "  --list          print algorithms, then exit\n"
-        "env: SEC_BENCH_PORT, SEC_BENCH_PIN (see secbench --list)\n");
+        "                  scatter | smt (default none)\n"
+        "  --list          print algorithms, then exit\n");
 }
 
 bool parse_port(const char* v, unsigned& out) {
@@ -56,10 +54,9 @@ bool parse_port(const char* v, unsigned& out) {
 int main(int argc, char** argv) {
     using sec::bench::AlgorithmRegistry;
 
-    sec::bench::EnvConfig env = sec::bench::EnvConfig::load();
     std::string algo = "SEC";
-    unsigned port = env.port;
-    std::string pin = env.pin;
+    unsigned port = 0;
+    std::string pin = "none";
 
     for (int i = 1; i < argc; ++i) {
         const std::string_view arg = argv[i];

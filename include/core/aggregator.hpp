@@ -47,7 +47,16 @@ public:
     static constexpr std::uint32_t kOpPush = 1;
     static constexpr std::uint32_t kOpPop = 2;
 
-    explicit AggregatorSet(const Config& cfg) : cfg_(cfg) {
+    // `eliminate` is the owning container's: when true (the paper's stack
+    // semantics) the freezer matches concurrent push/pop pairs and
+    // exchanges their values directly, so eliminated pairs never touch the
+    // central structure. Elimination is only legal for LIFO and unordered
+    // shapes: handing a dequeuer a *concurrent* enqueue's value would skip
+    // every older element in a FIFO, so SecQueue passes false — batching
+    // and single-CAS combining are shape-agnostic, elimination is not
+    // (DESIGN.md §12).
+    AggregatorSet(const Config& cfg, bool eliminate)
+        : cfg_(cfg), eliminate_(eliminate) {
         cfg_.validate();
         num_aggs_ = std::min(cfg_.num_aggregators, cfg_.max_threads);
         slots_ = std::make_unique<Slot[]>(cfg_.max_threads);
@@ -282,9 +291,9 @@ private:
 
         // Freeze: the snapshot is the batch. Eliminate push/pop pairs —
         // unless the owning container is FIFO-shaped, where pairing a pop
-        // with a concurrent push is not linearizable (Config::eliminate).
+        // with a concurrent push is not linearizable (see the constructor).
         const std::size_t pairs =
-            cfg_.eliminate ? std::min(np, nq) : std::size_t{0};
+            eliminate_ ? std::min(np, nq) : std::size_t{0};
         for (std::size_t i = 0; i < pairs; ++i) {
             Slot& ps = slots_[agg.scratch_push[i]];
             Slot& qs = slots_[agg.scratch_pop[i]];
@@ -335,6 +344,7 @@ private:
     }
 
     Config cfg_;
+    bool eliminate_;
     std::size_t num_aggs_ = 1;
     std::unique_ptr<Slot[]> slots_;
     std::unique_ptr<Agg[]> aggs_;

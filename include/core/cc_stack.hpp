@@ -46,10 +46,6 @@ public:
 
     std::optional<V> peek() { return request(detail::SeqOp::kPeek, V{}); }
 
-    // Shape-neutral aliases (container_concept.hpp).
-    bool put(const V& v) { return push(v); }
-    std::optional<V> take() { return pop(); }
-
 private:
     static constexpr std::uint32_t kWaiting = 0;
     static constexpr std::uint32_t kDone = 1;       // completed, result ready

@@ -58,14 +58,6 @@ struct Config {
     // When true, per-batch degree counters are maintained (small overhead).
     //   paper: Table 1 metrics.
     bool collect_stats = false;
-    // When true (the paper's stack semantics), the freezer matches
-    // concurrent push/pop pairs and exchanges their values directly, so
-    // eliminated pairs never touch the central structure. Elimination is
-    // only legal for LIFO: handing a dequeuer a *concurrent* enqueue's value
-    // would skip every older element in a FIFO, so SecQueue constructs its
-    // aggregators with this forced false — batching and single-CAS combining
-    // are shape-agnostic, elimination is not (DESIGN.md §12).
-    bool eliminate = true;
 
     void validate() const {
         if (num_aggregators < 1 || num_aggregators > kMaxAggregators) {

@@ -1,17 +1,14 @@
 // core/container_concept.hpp — the shape-parameterized ConcurrentContainer
 // concept every structure in this library models.
 //
-// PR 2 introduced a stack-only `ConcurrentStack` concept; nothing in the
-// harness (phase templates, registry factories, reclaim templating, the
-// sharding façade, the net front-end) actually depends on LIFO order — only
-// on "insert a value" / "remove some value" / "observe without removing".
-// This header names that contract once:
+// Nothing in the harness (phase templates, registry factories, reclaim
+// templating, the sharding façade, the net front-end) depends on LIFO order
+// — only on "insert a value" / "remove some value" / "observe without
+// removing". This header names that contract once:
 //
-//   * `put` / `take` are the canonical shape-neutral operations. `push` /
-//     `pop` remain REQUIRED thin aliases — they are the operational spelling
-//     the whole harness uses (runner phase loops, AnyStack, SecServer), and
-//     queues additionally expose `enqueue`/`dequeue` for idiomatic call
-//     sites. All spellings must hit the same code path.
+//   * `push` / `pop` / `peek` are the only spellings. A queue's push
+//     enqueues and its pop dequeues; the runner phase loops, AnyStack and
+//     SecServer all call these three.
 //   * `kShape` is a compile-time trait naming the removal order the
 //     container guarantees; the conformance harness
 //     (tests/container_conformance_test.cpp) derives its order-checking
@@ -27,9 +24,9 @@
 namespace sec {
 
 enum class ContainerShape : std::uint8_t {
-    lifo = 0,       // take() returns the newest element (stack order)
-    fifo = 1,       // take() returns the oldest element (queue order)
-    unordered = 2,  // take() returns *some* element (ElimPool: order is
+    lifo = 0,       // pop() returns the newest element (stack order)
+    fifo = 1,       // pop() returns the oldest element (queue order)
+    unordered = 2,  // pop() returns *some* element (ElimPool: order is
                     // deliberately dropped to buy throughput)
 };
 
@@ -42,32 +39,18 @@ constexpr std::string_view shape_name(ContainerShape s) noexcept {
 }
 
 // What a container must provide to participate in the library: a value
-// type, a removal-order trait, put/push (false only on resource
-// exhaustion), and optional-returning take/pop/peek (nullopt == EMPTY; for
-// FIFO shapes peek observes the element take() would return, i.e. the
-// front). ElimPool rides along via an adapter whose peek always returns
-// nullopt.
+// type, a removal-order trait, push (false only on resource exhaustion),
+// and optional-returning pop/peek (nullopt == EMPTY; for FIFO shapes peek
+// observes the element pop() would return, i.e. the front; ElimPool's peek
+// always returns nullopt).
 template <class C>
 concept ConcurrentContainer =
     requires(C c, const typename C::value_type v) {
         typename C::value_type;
         { C::kShape } -> std::convertible_to<ContainerShape>;
-        { c.put(v) } -> std::convertible_to<bool>;
-        { c.take() } -> std::same_as<std::optional<typename C::value_type>>;
         { c.push(v) } -> std::convertible_to<bool>;
         { c.pop() } -> std::same_as<std::optional<typename C::value_type>>;
         { c.peek() } -> std::same_as<std::optional<typename C::value_type>>;
     };
-
-// Shape refinements, for interfaces that genuinely require one removal
-// order (none of the harness does; tests use these to assert a type landed
-// in the matrix it claims).
-template <class C>
-concept ConcurrentStackLike =
-    ConcurrentContainer<C> && (C::kShape == ContainerShape::lifo);
-
-template <class C>
-concept ConcurrentQueueLike =
-    ConcurrentContainer<C> && (C::kShape == ContainerShape::fifo);
 
 }  // namespace sec

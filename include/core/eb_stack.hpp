@@ -100,10 +100,6 @@ public:
     void quiesce() { domain_->quiesce(); }
     void reclaim_offline() { domain_->offline(); }
 
-    // Shape-neutral aliases (container_concept.hpp).
-    bool put(const V& v) { return push(v); }
-    std::optional<V> take() { return pop(); }
-
 private:
     struct Node {
         V value;

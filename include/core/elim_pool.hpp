@@ -2,8 +2,9 @@
 // (paper conclusion: the sharded elimination/combining layer is not
 // stack-specific). Unlike SecStack, which funnels every combined run through
 // ONE top pointer, ElimPool gives each aggregator its own spine: the last
-// shared contention point disappears, at the price of LIFO order. extract()
-// falls back to stealing from sibling spines when the local one is empty.
+// shared contention point disappears, at the price of LIFO order: its shape
+// is `unordered`, and peek() always reports nullopt. pop() falls back to
+// stealing from sibling spines when the local one is empty.
 // `secbench ablation_pool` measures what that buys. Reclamation is
 // pluggable (sec::reclaim); EBR remains the default.
 #pragma once
@@ -15,6 +16,7 @@
 #include "core/aggregator.hpp"
 #include "core/common.hpp"
 #include "core/config.hpp"
+#include "core/container_concept.hpp"
 #include "core/spine.hpp"
 #include "reclaim/epoch.hpp"
 #include "reclaim/reclaimer.hpp"
@@ -26,12 +28,13 @@ class ElimPool {
 public:
     using value_type = V;
     using reclaimer_type = R;
+    static constexpr ContainerShape kShape = ContainerShape::unordered;
 
     explicit ElimPool(Config cfg)
-        : aggs_(cfg),
+        : aggs_(cfg, /*eliminate=*/true),
           spines_(std::make_unique<Spine[]>(aggs_.num_aggregators())) {}
     ElimPool(Config cfg, R& domain)
-        : aggs_(cfg),
+        : aggs_(cfg, /*eliminate=*/true),
           domain_(domain),
           spines_(std::make_unique<Spine[]>(aggs_.num_aggregators())) {}
 
@@ -44,7 +47,7 @@ public:
     ElimPool(const ElimPool&) = delete;
     ElimPool& operator=(const ElimPool&) = delete;
 
-    bool insert(const V& v) {
+    bool push(const V& v) {
         const std::size_t id = detail::tid();
         if (aggs_.is_overflow(id)) {
             detail::spine_push_chain(spines_[0].top, &v, 1);
@@ -61,7 +64,7 @@ public:
         return true;
     }
 
-    std::optional<V> extract() {
+    std::optional<V> pop() {
         const std::size_t id = detail::tid();
         if (aggs_.is_overflow(id)) {
             V out{};
@@ -77,6 +80,9 @@ public:
                 return pop_any(a, out, n);
             });
     }
+
+    // A pool has no top to observe.
+    std::optional<V> peek() const { return std::nullopt; }
 
     // Reclamation hooks the workload runner drives (see runner.hpp).
     void quiesce() { domain_->quiesce(); }

@@ -41,18 +41,14 @@ public:
     FlatCombiner(const FlatCombiner&) = delete;
     FlatCombiner& operator=(const FlatCombiner&) = delete;
 
-    bool put(const V& v) {
+    bool push(const V& v) {
         request(kPush, v);
         return true;
     }
 
-    std::optional<V> take() { return request(kPop, V{}); }
+    std::optional<V> pop() { return request(kPop, V{}); }
 
     std::optional<V> peek() { return request(kPeek, V{}); }
-
-    // Harness aliases (container_concept.hpp).
-    bool push(const V& v) { return put(v); }
-    std::optional<V> pop() { return take(); }
 
 private:
     // Slot states double as opcodes; kDone* are terminal until the owner

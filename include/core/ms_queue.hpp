@@ -45,7 +45,7 @@ public:
     MsQueue(const MsQueue&) = delete;
     MsQueue& operator=(const MsQueue&) = delete;
 
-    bool put(const V& v) {
+    bool push(const V& v) {
         Node* node = new Node{v};
         typename R::Guard guard(*domain_);
         for (;;) {
@@ -74,7 +74,7 @@ public:
         }
     }
 
-    std::optional<V> take() {
+    std::optional<V> pop() {
         typename R::Guard guard(*domain_);
         for (;;) {
             Node* h = guard.protect(0u, head_);  // dummy we may retire
@@ -111,17 +111,11 @@ public:
         }
     }
 
-    // Front element (what take() would return).
+    // Front element (what pop() would return).
     std::optional<V> peek() const {
         typename R::Guard guard(*domain_);
         return detail::fifo_peek(head_, guard);
     }
-
-    // Harness aliases (container_concept.hpp) and queue-idiomatic names.
-    bool push(const V& v) { return put(v); }
-    std::optional<V> pop() { return take(); }
-    bool enqueue(const V& v) { return put(v); }
-    std::optional<V> dequeue() { return take(); }
 
     // Reclamation hooks the workload runner drives (see runner.hpp).
     void quiesce() { domain_->quiesce(); }

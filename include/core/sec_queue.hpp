@@ -9,9 +9,8 @@
 // of one per thread. What does NOT carry over is elimination — handing a
 // dequeuer the value of a *concurrent* enqueue would skip every older
 // element, which is only linearizable for LIFO — so the aggregators are
-// constructed with Config::eliminate forced off and every batch is applied
-// to the spine (stats therefore report eliminated_ops == 0 by
-// construction). Per-producer FIFO still holds across batches: a producer
+// constructed without elimination and every batch is applied to the spine
+// (stats therefore report eliminated_ops == 0 by construction). Per-producer FIFO still holds across batches: a producer
 // owns one publication slot, so it has at most one enqueue per batch, and
 // its k-th enqueue's tail exchange lands before its (k+1)-th is even
 // published. See DESIGN.md §12 and the order oracle in
@@ -40,11 +39,11 @@ public:
     using reclaimer_type = R;
     static constexpr ContainerShape kShape = ContainerShape::fifo;
 
-    explicit SecQueue(Config cfg) : aggs_(fifo_config(cfg)) {
+    explicit SecQueue(Config cfg) : aggs_(cfg, /*eliminate=*/false) {
         detail::fifo_init(head_, tail_);
     }
     SecQueue(Config cfg, R& domain)
-        : aggs_(fifo_config(cfg)), domain_(domain) {
+        : aggs_(cfg, /*eliminate=*/false), domain_(domain) {
         detail::fifo_init(head_, tail_);
     }
 
@@ -53,7 +52,7 @@ public:
     SecQueue(const SecQueue&) = delete;
     SecQueue& operator=(const SecQueue&) = delete;
 
-    bool put(const V& v) {
+    bool push(const V& v) {
         const std::size_t id = detail::tid();
         if (SEC_UNLIKELY(aggs_.is_overflow(id))) {
             detail::fifo_put_chain(tail_, &v, 1);
@@ -71,7 +70,7 @@ public:
         return true;
     }
 
-    std::optional<V> take() {
+    std::optional<V> pop() {
         const std::size_t id = detail::tid();
         if (SEC_UNLIKELY(aggs_.is_overflow(id))) {
             typename R::Guard guard(*domain_);
@@ -91,17 +90,11 @@ public:
             });
     }
 
-    // Front element (what take() would return).
+    // Front element (what pop() would return).
     std::optional<V> peek() const {
         typename R::Guard guard(*domain_);
         return detail::fifo_peek(head_, guard);
     }
-
-    // Harness aliases (container_concept.hpp) and queue-idiomatic names.
-    bool push(const V& v) { return put(v); }
-    std::optional<V> pop() { return take(); }
-    bool enqueue(const V& v) { return put(v); }
-    std::optional<V> dequeue() { return take(); }
 
     // Reclamation hooks the workload runner drives (see runner.hpp).
     void quiesce() { domain_->quiesce(); }
@@ -115,14 +108,6 @@ public:
 
 private:
     using Aggs = detail::AggregatorSet<V>;
-
-    // FIFO makes elimination illegal regardless of what the caller's
-    // Config says; force it off so no sweep or hand-built Config can
-    // accidentally construct a non-linearizable queue.
-    static Config fifo_config(Config cfg) {
-        cfg.eliminate = false;
-        return cfg;
-    }
 
     Aggs aggs_;
     reclaim::DomainRef<R> domain_;

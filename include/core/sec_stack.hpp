@@ -38,8 +38,9 @@ public:
     using reclaimer_type = R;
     static constexpr ContainerShape kShape = ContainerShape::lifo;
 
-    explicit SecStack(Config cfg) : aggs_(cfg) {}
-    SecStack(Config cfg, R& domain) : aggs_(cfg), domain_(domain) {}
+    explicit SecStack(Config cfg) : aggs_(cfg, /*eliminate=*/true) {}
+    SecStack(Config cfg, R& domain)
+        : aggs_(cfg, /*eliminate=*/true), domain_(domain) {}
 
     ~SecStack() { detail::spine_destroy(top_); }
 
@@ -100,10 +101,6 @@ public:
     StatsSnapshot stats() const { return aggs_.stats(); }
 
     const Config& config() const noexcept { return aggs_.config(); }
-
-    // Shape-neutral aliases (container_concept.hpp).
-    bool put(const V& v) { return push(v); }
-    std::optional<V> take() { return pop(); }
 
 private:
     using Aggs = detail::AggregatorSet<V>;

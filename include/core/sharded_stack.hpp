@@ -8,25 +8,22 @@
 // stacks — any ConcurrentContainer, SEC in the registry's SEC@shardK variants —
 // with
 //
-//   affinity   every thread owns a home shard. A thread pinned by an
-//              exec::WorkerPool placement policy maps its L3 cache domain
-//              to a shard (domain mod K), so all threads sharing an L3
-//              share a home shard and the shard's combiner handoffs stay
-//              inside one cache. Unpinned threads derive the home from
-//              their small thread id (detail::tid()): ids are dense and
+//   affinity   every thread owns a home shard, derived from its small
+//              thread id (detail::tid()), pinned or not: ids are dense and
 //              recycled, so the identity hash (id mod K) is both perfectly
 //              balanced and stable for the thread's lifetime; a
 //              multiplicative mix would only decorrelate adversarial id
 //              patterns the thread registry never produces, at the price
-//              of real imbalance on small thread counts.
+//              of real imbalance on small thread counts. Placement plays no
+//              part: a home per L3 domain would put every thread of a host
+//              with fewer L3 domains than shards on the same few shards.
 //   stealing   pushes always hit the home shard. A pop that finds its home
-//              shard empty probes the other shards round-robin from
-//              home + 1, bounded by ShardConfig::steal_probes, before
-//              reporting empty — so a consumer-heavy thread drains its
-//              neighbours instead of spinning on EMPTY while values sit one
-//              shard over. With the default bound (all other shards) a
-//              quiescent empty verdict is exact: no concurrent pushers and
-//              a full sweep of empty probes means every shard was empty.
+//              shard empty probes every other shard round-robin from
+//              home + 1 before reporting empty — so a consumer-heavy thread
+//              drains its neighbours instead of spinning on EMPTY while
+//              values sit one shard over, and a quiescent empty verdict is
+//              exact: no concurrent pushers and a full sweep of empty
+//              probes means every shard was empty.
 //   isolation  each shard is cache-line padded and built by a caller
 //              factory, so per-shard state — including each inner stack's
 //              PRIVATE reclamation domain — never false-shares and never
@@ -52,7 +49,6 @@
 #include "core/common.hpp"
 #include "core/config.hpp"
 #include "core/stack_concept.hpp"
-#include "exec/placement.hpp"
 
 namespace sec::shard {
 
@@ -71,11 +67,6 @@ struct ShardConfig {
     // needs no slot) but are excluded from the stats.
     //   unit: threads · legal range: [1, kMaxThreads]
     std::size_t max_threads = kMaxThreads;
-    // Foreign shards a pop probes before reporting empty.
-    //   unit: count · 0 means "all of them" (num_shards - 1), larger values
-    //   are clamped to that; smaller values trade drain exactness for a
-    //   cheaper empty verdict.
-    std::size_t steal_probes = 0;
 
     void validate() const {
         if (num_shards < 1 || num_shards > kMaxShards) {
@@ -134,12 +125,6 @@ public:
             }
         }
         counters_ = std::make_unique<Counters[]>(cfg_.max_threads);
-        // cfg_ is immutable after validate(), so the steal-sweep bound is a
-        // constant — computed once here instead of re-deriving (branch +
-        // min) on every pop that finds its home shard empty.
-        probe_bound_ = cfg_.steal_probes == 0
-                           ? cfg_.num_shards - 1
-                           : std::min(cfg_.steal_probes, cfg_.num_shards - 1);
     }
 
     ShardedStack(const ShardedStack&) = delete;
@@ -152,13 +137,9 @@ public:
         return *shards_[s].inner;
     }
 
-    // Home shard of the calling thread — fixed for the thread's lifetime
-    // (an exec::WorkerPool pin happens before the worker body runs, and an
-    // unpinned thread's tid is stable). L3-domain mapping when pinned, tid
-    // hash otherwise; see `affinity` in the header comment.
+    // Home shard of the calling thread — fixed for the thread's lifetime,
+    // because its tid is; see `affinity` in the header comment.
     std::size_t home_shard() const noexcept {
-        const int l3 = exec::this_thread_placement().l3;
-        if (l3 >= 0) return static_cast<std::size_t>(l3) % cfg_.num_shards;
         return detail::tid() % cfg_.num_shards;
     }
 
@@ -182,14 +163,14 @@ public:
             if (SEC_LIKELY(c != nullptr)) bump(c->pop_by_shard[home]);
             return v;
         }
-        // Home is empty: bounded round-robin steal sweep over the others.
-        // Wrap by increment, not modulo — a div per probe is pure overhead
-        // on a path that already eats a cross-shard cache miss — and lean
-        // on the next victim's top-of-spine line while probing this one.
+        // Home is empty: round-robin steal sweep over the others. Wrap by
+        // increment, not modulo — a div per probe is pure overhead on a
+        // path that already eats a cross-shard cache miss — and lean on the
+        // next victim's top-of-spine line while probing this one.
         std::size_t s = home;
-        for (std::size_t i = 1; i <= probe_bound_; ++i) {
+        for (std::size_t i = 1; i < cfg_.num_shards; ++i) {
             if (++s == cfg_.num_shards) s = 0;
-            if (i < probe_bound_) {
+            if (i + 1 < cfg_.num_shards) {
                 const std::size_t peek_next =
                     s + 1 == cfg_.num_shards ? 0 : s + 1;
                 prefetch(shards_[peek_next].inner.get());
@@ -211,7 +192,7 @@ public:
         const std::size_t home = home_shard();
         if (auto v = shards_[home].inner->peek()) return v;
         std::size_t s = home;
-        for (std::size_t i = 1; i <= probe_bound_; ++i) {
+        for (std::size_t i = 1; i < cfg_.num_shards; ++i) {
             if (++s == cfg_.num_shards) s = 0;
             if (auto v = shards_[s].inner->peek()) return v;
         }
@@ -280,10 +261,6 @@ public:
         return out;
     }
 
-    // Shape-neutral aliases (container_concept.hpp).
-    bool put(const value_type& v) { return push(v); }
-    std::optional<value_type> take() { return pop(); }
-
 private:
     struct alignas(kCacheLineSize) Shard {
         std::unique_ptr<Inner> inner;
@@ -308,7 +285,6 @@ private:
     }
 
     ShardConfig cfg_;
-    std::size_t probe_bound_ = 0;  // foreign shards per sweep, fixed in ctor
     std::unique_ptr<Shard[]> shards_;
     std::unique_ptr<Counters[]> counters_;
 };

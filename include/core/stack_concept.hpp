@@ -1,10 +1,9 @@
 // core/stack_concept.hpp — AnyStack, the type-erased container handle the
 // registry and the secbench scenario driver work in terms of. The static
 // contract it erases is the shape-parameterized ConcurrentContainer concept
-// (core/container_concept.hpp); the class keeps its historical name because
-// every call site spells operations push/pop — the canonical put/take are
-// forwarded to the same virtuals, and `shape()` carries the erased type's
-// kShape trait to runtime consumers (secbench --list, the net STATS frame).
+// (core/container_concept.hpp); the class keeps its historical name, and
+// `shape()` carries the erased type's kShape trait to runtime consumers
+// (secbench --list, the net STATS frame).
 //
 // AnyStack keeps virtual dispatch OFF the measured hot path: the Model
 // interface erases whole *phases* (prefill / timed mixed loop / fixed-op
@@ -118,10 +117,6 @@ public:
     bool push(value_type v) { return model_->push(v); }
     std::optional<value_type> pop() { return model_->pop(); }
     std::optional<value_type> peek() { return model_->peek(); }
-
-    // Shape-neutral aliases (same virtuals; see container_concept.hpp).
-    bool put(value_type v) { return model_->push(v); }
-    std::optional<value_type> take() { return model_->pop(); }
     ContainerShape shape() const { return model_->shape(); }
 
     void prefill(std::size_t count, const PhaseArgs& args) {

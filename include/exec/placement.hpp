@@ -1,9 +1,8 @@
 // exec/placement.hpp — the per-thread placement note the exec layer leaves
 // for lower layers. A WorkerPool worker that was successfully pinned
 // publishes where it runs ({cpu, package, core, L3 domain}); anything
-// beneath the pool — ShardedStack's home-shard map today — can read it
-// without depending on the pool or the topology parser. Deliberately tiny:
-// core/ headers include this, so it must pull in nothing.
+// beneath the pool can read it without depending on the pool or the
+// topology parser. Deliberately tiny, so it must pull in nothing.
 #pragma once
 
 namespace sec::exec {

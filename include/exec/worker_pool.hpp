@@ -15,8 +15,7 @@
 //     sched_setaffinity) and a refused pin leaves the worker unpinned with
 //     ctx.cpu == -1 rather than failing the run
 //   * placement publication — a pinned worker's {cpu, package, core, L3}
-//     appears in exec::this_thread_placement() for lower layers
-//     (ShardedStack's home-shard map) to read
+//     appears in exec::this_thread_placement() for lower layers to read
 //   * counters — with PoolOptions::counters, each worker carries a
 //     perf_event group (cycles / instructions / LLC misses) that degrades
 //     to nothing when the kernel refuses the syscall

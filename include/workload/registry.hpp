@@ -148,6 +148,7 @@ struct ScenarioContext {
     // cells, so a snapshot is exactly what the run printed.
     json::Snapshot* json = nullptr;
     bool smoke = false;                  // tiny-budget mode (secbench --smoke)
+    bool paper = false;  // --paper preset applied; the preamble says so
     // The --reclaim scheme, when given: `algos` is already rebound to its
     // variants, and the reclamation scenario restricts its matrix to this
     // scheme instead of sweeping all four ("" = no restriction).
@@ -156,15 +157,15 @@ struct ScenarioContext {
     // (workload/sweep.hpp) and falls back to a small default grid when
     // empty.
     std::string sweep_spec{};
-    // --shards / SEC_BENCH_SHARDS: pins the `sharding` scenario to one
-    // shard count (0 = derive from the selection, else the default grid).
+    // --shards: pins the `sharding` scenario to one shard count (0 = derive
+    // from the selection, else the default grid).
     unsigned shards = 0;
-    // --load / SEC_BENCH_LOAD: offered load in Kops/s for the open-loop
-    // `service` scenario (0 = the scenario's default; the `knee` scenario
-    // uses it as the search's starting probe when given).
+    // --load: offered load in Kops/s for the open-loop `service` scenario
+    // (0 = the scenario's default; the `knee` scenario uses it as the
+    // search's starting probe when given).
     double load_kops = 0;
-    // --arrival / SEC_BENCH_ARRIVAL: "poisson" (default) or "burst" — the
-    // arrival process of the service scenarios (workload/service.hpp).
+    // --arrival: "poisson" (default) or "burst" — the arrival process of
+    // the service scenarios (workload/service.hpp).
     std::string arrival{};
 
     // Column names of the selected algorithms.
@@ -179,9 +180,10 @@ struct ScenarioContext {
                 const EnvConfig& e) const;
     // Print the table and append its rows to the CSV sink, if any.
     void emit(const Table& table) const;
-    // One `table,key,column,value` row to the CSV sink (no-op without one) —
-    // the file-sink path for scenarios whose results aren't a Table
-    // (table1 / latency / reclamation / micro).
+    // One `table,key,column,value` row, for scenarios whose results aren't
+    // a Table (table1 / latency / reclamation / micro / ...): printed on
+    // stdout as `CSV,table,key,column,value`, like emit()'s rows, and
+    // written to the CSV and JSON sinks when present.
     void csv_row(std::string_view table, std::string_view key,
                  std::string_view column, double value) const;
 };

@@ -40,14 +40,14 @@ struct RunConfig {
     OpMix mix = kUpdateHeavy;
     std::size_t value_range = std::size_t{1} << 20;
     unsigned runs = 1;
-    // Base seed for the per-worker op-mix RNGs (`--seed` / SEC_BENCH_SEED):
-    // worker t draws from phase_seed(seed, t, run), so two runs with the
-    // same seed replay the same op sequences for A/B comparisons.
+    // Base seed for the per-worker op-mix RNGs (`--seed`): worker t draws
+    // from phase_seed(seed, t, run), so two runs with the same seed replay
+    // the same op sequences for A/B comparisons.
     std::uint64_t seed = 0;
-    // Worker placement (`--pin` / SEC_BENCH_PIN). kNone reproduces the
-    // historical unpinned threads; anything else pins workers per the
-    // policy's plan over the host topology (best-effort — a container that
-    // refuses affinity runs unpinned).
+    // Worker placement (`--pin`). kNone reproduces the historical unpinned
+    // threads; anything else pins workers per the policy's plan over the
+    // host topology (best-effort — a container that refuses affinity runs
+    // unpinned).
     topo::PinPolicy pin = topo::PinPolicy::kNone;
     // Per-worker hardware counter groups over the measured span; degrades
     // to no data (RunResult::perf.any() == false) when perf_event_open is
@@ -353,7 +353,7 @@ inline void advance_seed_stream() noexcept {
 // scenario stream) — distinct per (worker, run), distinct between the
 // prefill and the measured phase of the same worker, and distinct across
 // the scenarios of one invocation (seed_stream above). `base` comes from
-// RunConfig::seed (`--seed` / SEC_BENCH_SEED); base 0 at stream 0
+// RunConfig::seed (`--seed`); base 0 at stream 0
 // reproduces the historical seeding.
 inline std::uint64_t phase_seed(std::uint64_t base, unsigned t, unsigned run,
                                 std::uint64_t salt = 0) {

@@ -59,9 +59,9 @@ struct ServiceConfig {
     // its `stall_after_op`-th completion (see ServeConsumeArgs).
     std::uint64_t stall_after_op = 0;
     std::uint64_t stall_ns = 0;
-    // Lane placement (`--pin` / SEC_BENCH_PIN): producers take the first
-    // slots of the policy's cpu order, consumers the next ones, so the two
-    // pools never stack on the same cpu until the machine is full.
+    // Lane placement (`--pin`): producers take the first slots of the
+    // policy's cpu order, consumers the next ones, so the two pools never
+    // stack on the same cpu until the machine is full.
     topo::PinPolicy pin = topo::PinPolicy::kNone;
 };
 

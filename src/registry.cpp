@@ -1,10 +1,11 @@
-// registry.cpp — AlgorithmRegistry (the six stacks + the ElimPool adapter
-// self-register here, plus the algo@reclaimer cross-product),
+// registry.cpp — AlgorithmRegistry (the six stacks + ElimPool self-register
+// here, plus the algo@reclaimer cross-product),
 // ReclaimerRegistry (the four sec::reclaim schemes), ScenarioRegistry, and
 // the shared scenario pipeline (ScenarioContext helpers, run_scenario).
 #include "workload/registry.hpp"
 
 #include <cstdio>
+#include <type_traits>
 
 #include "core/elim_pool.hpp"
 #include "reclaim/reclaim.hpp"
@@ -24,71 +25,26 @@ AnyStack make_plain_stack(const StackParams& p) {
     return erase_stack(make_stack<S>(tid_bound(p.threads)));
 }
 
-// Thread-bound containers whose reclaimer is baked into S; an external domain
-// of the matching scheme is borrowed when the handle carries one.
+// Containers whose reclaimer is baked into S, sized by the run's effective
+// Config when Config-built (SecStack, SecQueue, ElimPool) and by the thread
+// bound otherwise; an external domain of the matching scheme is borrowed
+// when the handle carries one.
 template <ConcurrentContainer S>
 AnyStack make_bound_stack(const StackParams& p) {
     using R = typename S::reclaimer_type;
+    const auto sizing = [&p] {
+        if constexpr (std::is_constructible_v<S, Config>) {
+            return effective_stack_config(p);
+        } else {
+            return tid_bound(p.threads);
+        }
+    };
     if (p.domain != nullptr) {
         if (R* d = p.domain->get<R>()) {
-            return erase_stack(
-                std::make_unique<S>(tid_bound(p.threads), *d));
+            return erase_stack(std::make_unique<S>(sizing(), *d));
         }
     }
-    return erase_stack(make_stack<S>(tid_bound(p.threads)));
-}
-
-template <reclaim::Reclaimer R>
-AnyStack make_sec(const StackParams& p) {
-    const Config cfg = effective_stack_config(p);
-    if (p.domain != nullptr) {
-        if (R* d = p.domain->get<R>()) {
-            return erase_stack(std::make_unique<SecStack<Value, R>>(cfg, *d));
-        }
-    }
-    return erase_stack(std::make_unique<SecStack<Value, R>>(cfg));
-}
-
-// Same Config plumbing as make_sec; SecQueue itself forces eliminate off.
-template <reclaim::Reclaimer R>
-AnyStack make_sec_queue(const StackParams& p) {
-    const Config cfg = effective_stack_config(p);
-    if (p.domain != nullptr) {
-        if (R* d = p.domain->get<R>()) {
-            return erase_stack(std::make_unique<SecQueue<Value, R>>(cfg, *d));
-        }
-    }
-    return erase_stack(std::make_unique<SecQueue<Value, R>>(cfg));
-}
-
-// ElimPool behind the stack concept: the SEC machinery on per-aggregator
-// spines, LIFO order dropped (pools don't peek).
-template <reclaim::Reclaimer R>
-struct PoolStackAdapter {
-    using value_type = Value;
-    static constexpr ContainerShape kShape = ContainerShape::unordered;
-    explicit PoolStackAdapter(Config cfg) : pool(std::move(cfg)) {}
-    PoolStackAdapter(Config cfg, R& d) : pool(std::move(cfg), d) {}
-    bool push(const value_type& v) { return pool.insert(v); }
-    std::optional<value_type> pop() { return pool.extract(); }
-    std::optional<value_type> peek() { return std::nullopt; }
-    bool put(const value_type& v) { return pool.insert(v); }
-    std::optional<value_type> take() { return pool.extract(); }
-    void quiesce() { pool.quiesce(); }
-    void reclaim_offline() { pool.reclaim_offline(); }
-    ElimPool<value_type, R> pool;
-};
-
-template <reclaim::Reclaimer R>
-AnyStack make_pool(const StackParams& p) {
-    const Config cfg = effective_stack_config(p);
-    if (p.domain != nullptr) {
-        if (R* d = p.domain->get<R>()) {
-            return erase_stack(
-                std::make_unique<PoolStackAdapter<R>>(cfg, *d));
-        }
-    }
-    return erase_stack(std::make_unique<PoolStackAdapter<R>>(cfg));
+    return erase_stack(std::make_unique<S>(sizing()));
 }
 
 // One "BASE@scheme" spec per reclaimer-capable structure: the cross-product
@@ -114,7 +70,7 @@ void register_reclaim_variants(AlgorithmRegistry& reg, int rank) {
     reg.add({variant("EB"), desc("EB"), rank + 0, false, true,
              make_bound_stack<EbStack<Value, R>>});
     reg.add({variant("SEC"), desc("SEC"), rank + 1, false, true,
-             make_sec<R>});
+             make_bound_stack<SecStack<Value, R>>});
     reg.add({variant("TRB"), desc("TRB"), rank + 2, false, true,
              make_bound_stack<TreiberStack<Value, R>>});
     if constexpr (R::kBlanketProtection) {
@@ -122,9 +78,11 @@ void register_reclaim_variants(AlgorithmRegistry& reg, int rank) {
                  make_bound_stack<TsiStack<Value, R>>});
     }
     reg.add({variant("POOL"), desc("POOL"), rank + 4, false, true,
-             make_pool<R>, {}, {}, ContainerShape::unordered});
+             make_bound_stack<ElimPool<Value, R>>, {}, {},
+             ContainerShape::unordered});
     reg.add({variant("SEC_Q"), desc("SEC_Q"), rank + 5, false, true,
-             make_sec_queue<R>, {}, {}, ContainerShape::fifo});
+             make_bound_stack<SecQueue<Value, R>>, {}, {},
+             ContainerShape::fifo});
     reg.add({variant("MS"), desc("MS"), rank + 6, false, true,
              make_bound_stack<MsQueue<Value, R>>, {}, {},
              ContainerShape::fifo});
@@ -139,20 +97,20 @@ void register_builtin_algorithms(AlgorithmRegistry& reg) {
     reg.add({"FC", "flat-combining stack", 2, true, false,
              make_plain_stack<FcStack<Value>>});
     reg.add({"SEC", "sharded elimination-combining stack (the paper)", 3, true,
-             true, make_sec<reclaim::EpochDomain>});
+             true, make_bound_stack<SecStack<Value>>});
     reg.add({"TRB", "Treiber stack (single-CAS top)", 4, true, true,
              make_bound_stack<TreiberStack<Value>>});
     reg.add({"TSI", "timestamped stack (per-thread pools)", 5, true, true,
              make_bound_stack<TsiStack<Value>>});
     reg.add({"POOL", "ElimPool — SEC machinery, unordered, per-aggregator spines",
-             10, false, true, make_pool<reclaim::EpochDomain>, {}, {},
+             10, false, true, make_bound_stack<ElimPool<Value>>, {}, {},
              ContainerShape::unordered});
     // The FIFO competitor trio (ROADMAP item 2): same registry, same
     // reclaim cross-product, selected by the `queue` scenario. Not in the
     // Figure-2 default set — that set is the paper's six stacks.
     reg.add({"SEC_Q",
              "sharded combining FIFO queue — SEC batching, no elimination",
-             12, false, true, make_sec_queue<reclaim::EpochDomain>, {}, {},
+             12, false, true, make_bound_stack<SecQueue<Value>>, {}, {},
              ContainerShape::fifo});
     reg.add({"MS", "Michael-Scott queue (CAS per op on head/tail lines)", 13,
              false, true, make_bound_stack<MsQueue<Value>>, {}, {},
@@ -348,7 +306,7 @@ RunConfig ScenarioContext::run_config(unsigned threads, const OpMix& mix,
     cfg.runs = e.runs;
     cfg.seed = e.seed;
     cfg.pin = topo::parse_pin_policy(e.pin).value_or(topo::PinPolicy::kNone);
-    cfg.counters = e.counters;
+    cfg.counters = true;  // silent where the kernel refuses perf events
     return cfg;
 }
 
@@ -400,10 +358,14 @@ void ScenarioContext::csv_row(std::string_view table, std::string_view key,
     // csv_row cells carry no unit, so the snapshot compare reports but
     // never gates them (workload/bench_json.hpp).
     if (json != nullptr) json->add(table, key, column, "", value);
-    if (csv == nullptr) return;
-    std::fprintf(csv, "%.*s,%.*s,%.*s,%.4f\n", static_cast<int>(table.size()),
-                 table.data(), static_cast<int>(key.size()), key.data(),
-                 static_cast<int>(column.size()), column.data(), value);
+    const auto write = [&](std::FILE* out, const char* prefix) {
+        std::fprintf(out, "%s%.*s,%.*s,%.*s,%.4f\n", prefix,
+                     static_cast<int>(table.size()), table.data(),
+                     static_cast<int>(key.size()), key.data(),
+                     static_cast<int>(column.size()), column.data(), value);
+    };
+    write(stdout, "CSV,");
+    if (csv != nullptr) write(csv, "");
 }
 
 // ---- entry points ----------------------------------------------------------
@@ -422,7 +384,7 @@ int run_scenario(std::string_view name, const ScenarioContext& ctx) {
         return 2;
     }
     print_preamble(std::string("secbench ") + spec->name + " — " + spec->title,
-                   ctx.env);
+                   ctx.env, ctx.paper);
     const int rc = spec->run(ctx);
     // Decorrelate the NEXT scenario's per-worker RNG streams from this
     // one's (see phase_seed): advancing after the body keeps stream 0 — and

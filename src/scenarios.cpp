@@ -227,14 +227,6 @@ int table1(const ScenarioContext& ctx) {
     std::printf("%-18s %9.0f%% %9.0f%% %9.0f%%\n", "%Combining",
                 rows[0].comb_pct, rows[1].comb_pct, rows[2].comb_pct);
     for (i = 0; i < 3; ++i) {
-        const char* mix = kStandardMixes[i].name.data();
-        std::printf("CSV,table1,%s,direct_pct,%.2f\n", mix,
-                    rows[i].direct_pct);
-        std::printf("CSV,table1,%s,batching,%.2f\n", mix, rows[i].batching);
-        std::printf("CSV,table1,%s,elimination_pct,%.2f\n", mix,
-                    rows[i].elim_pct);
-        std::printf("CSV,table1,%s,combining_pct,%.2f\n", mix,
-                    rows[i].comb_pct);
         ctx.csv_row("table1", kStandardMixes[i].name, "direct_pct",
                     rows[i].direct_pct);
         ctx.csv_row("table1", kStandardMixes[i].name, "batching",
@@ -267,12 +259,6 @@ int latency(const ScenarioContext& ctx) {
                 static_cast<unsigned long long>(merged.quantile_ns(0.50)),
                 static_cast<unsigned long long>(merged.quantile_ns(0.99)),
                 static_cast<unsigned long long>(merged.quantile_ns(0.999)));
-            std::printf("CSV,latency_upd100,%s,%u,%.0f,%llu,%llu,%llu\n",
-                        a->name.c_str(), t, merged.mean_ns(),
-                        static_cast<unsigned long long>(merged.quantile_ns(0.50)),
-                        static_cast<unsigned long long>(merged.quantile_ns(0.99)),
-                        static_cast<unsigned long long>(
-                            merged.quantile_ns(0.999)));
             const std::string key = a->name + "@t" + std::to_string(t);
             ctx.csv_row("latency_upd100", key, "mean_ns", merged.mean_ns());
             ctx.csv_row("latency_upd100", key, "p50_ns",
@@ -328,10 +314,6 @@ void reclamation_cell(const ScenarioContext& ctx, const ReclaimerSpec& scheme,
         static_cast<unsigned long long>(before.freed), freed_pct,
         static_cast<unsigned long long>(before.limbo_hwm), drain_us,
         static_cast<unsigned long long>(after.in_limbo()));
-    std::printf("CSV,reclamation,%s,%u,%llu,%llu,%llu\n", spec.name.c_str(),
-                t, static_cast<unsigned long long>(before.retired),
-                static_cast<unsigned long long>(before.freed),
-                static_cast<unsigned long long>(before.in_limbo()));
     const std::string key = spec.name + "@t" + std::to_string(t);
     ctx.csv_row("reclamation", key, "retired",
                 static_cast<double>(before.retired));
@@ -665,13 +647,6 @@ int sharding(const ScenarioContext& ctx) {
                 static_cast<unsigned long long>(ss.empty_pops),
                 per_shard.c_str());
             const std::string key = column + "@t" + std::to_string(t);
-            std::printf("CSV,sharding_shards,%s,imbalance,%.4f\n", key.c_str(),
-                        ss.imbalance());
-            std::printf("CSV,sharding_shards,%s,steal_pct,%.4f\n", key.c_str(),
-                        ss.steal_pct());
-            std::printf("CSV,sharding_shards,%s,empty_pops,%llu\n",
-                        key.c_str(),
-                        static_cast<unsigned long long>(ss.empty_pops));
             ctx.csv_row("sharding_shards", key, "imbalance", ss.imbalance());
             ctx.csv_row("sharding_shards", key, "steal_pct", ss.steal_pct());
             ctx.csv_row("sharding_shards", key, "empty_pops",
@@ -729,7 +704,7 @@ ServiceConfig service_config(const ScenarioContext& ctx, unsigned consumers,
     return scfg;
 }
 
-// Arrival kind from --arrival / SEC_BENCH_ARRIVAL; rejects typos loudly
+// Arrival kind from --arrival; rejects typos loudly
 // (a mislabelled arrival process corrupts every row it produces).
 std::optional<ArrivalKind> scenario_arrival(const ScenarioContext& ctx) {
     const auto kind =
@@ -866,7 +841,7 @@ int knee(const ScenarioContext& ctx) {
 // SecServer per algorithm (event loop draining readiness batches into the
 // structure) and the loopback client replaying the same Poisson/bursty
 // schedules over N real TCP connections. Grid value = connections. With
-// --port / SEC_BENCH_PORT set, the client targets an already-running
+// --port set, the client targets an already-running
 // secserve instead (a second process; single column "remote" because the
 // remote process, not the local selection, fixes the algorithm). Exits
 // nonzero when any scheduled request lost its reply — CI's net-smoke job
@@ -1055,10 +1030,6 @@ int micro(const ScenarioContext& ctx) {
                         "erased=%8.2f Mops/s (%7.1f ns/op) delta=%+.1f%%\n",
                         a->name.c_str(), stat, ns_per_op(stat), erased,
                         ns_per_op(erased), delta);
-            std::printf("CSV,micro_ops,%s,static,%.4f\n", a->name.c_str(),
-                        stat);
-            std::printf("CSV,micro_ops,%s,static_ns,%.4f\n", a->name.c_str(),
-                        ns_per_op(stat));
             ctx.csv_row("micro_ops", a->name, "static", stat);
             ctx.csv_row("micro_ops", a->name, "static_ns", ns_per_op(stat));
         } else {
@@ -1066,9 +1037,6 @@ int micro(const ScenarioContext& ctx) {
                         "(%7.1f ns/op)\n",
                         a->name.c_str(), "-", erased, ns_per_op(erased));
         }
-        std::printf("CSV,micro_ops,%s,erased,%.4f\n", a->name.c_str(), erased);
-        std::printf("CSV,micro_ops,%s,erased_ns,%.4f\n", a->name.c_str(),
-                    ns_per_op(erased));
         ctx.csv_row("micro_ops", a->name, "erased", erased);
         ctx.csv_row("micro_ops", a->name, "erased_ns", ns_per_op(erased));
     }

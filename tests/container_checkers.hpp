@@ -94,15 +94,15 @@ ChurnResult churn(C& container, unsigned threads,
             exec::quiesce_hook(container);
             if (rng.next_below(2) == 0) {
                 const Value v = tag(t, seq++);
-                container.put(v);
+                container.push(v);
                 mine_pushed.push_back(v);
-            } else if (auto v = container.take()) {
+            } else if (auto v = container.pop()) {
                 mine_popped.push_back(*v);
             }
         }
         exec::offline_hook(container);
     });
-    while (auto v = container.take()) r.drained.push_back(*v);
+    while (auto v = container.pop()) r.drained.push_back(*v);
     return r;
 }
 

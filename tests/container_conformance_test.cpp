@@ -62,22 +62,20 @@ TYPED_TEST(ContainerConformanceTest, SatisfiesTheConcept) {
                   TypeParam::kShape == sec::ContainerShape::fifo);
 }
 
-TYPED_TEST(ContainerConformanceTest, TakeOnEmptyIsEmptyOptional) {
+TYPED_TEST(ContainerConformanceTest, PopOnEmptyIsEmptyOptional) {
     auto c = sec::make_stack<TypeParam>(8);
-    EXPECT_FALSE(c->take().has_value());
+    EXPECT_FALSE(c->pop().has_value());
     EXPECT_FALSE(c->peek().has_value());
-    EXPECT_FALSE(c->take().has_value());
+    EXPECT_FALSE(c->pop().has_value());
 }
 
-// put/take are the shape-neutral spellings; push/pop must be the same ops
-// (the harness uses the latter, the concept requires both).
 TYPED_TEST(ContainerConformanceTest, ShapeTraitMatchesObservedOrder) {
     auto c = sec::make_stack<TypeParam>(8);
-    EXPECT_TRUE(c->put(1));
+    EXPECT_TRUE(c->push(1));
     EXPECT_TRUE(c->push(2));
-    EXPECT_TRUE(c->put(3));
+    EXPECT_TRUE(c->push(3));
     std::vector<Value> out;
-    while (auto v = c->take()) out.push_back(*v);
+    while (auto v = c->pop()) out.push_back(*v);
     if constexpr (TypeParam::kShape == sec::ContainerShape::fifo) {
         EXPECT_EQ(out, (std::vector<Value>{1, 2, 3}));
     } else {
@@ -113,19 +111,19 @@ TYPED_TEST(ContainerConformanceTest, RemovalOrderRespectsShape) {
         const unsigned t = wc.index;
         for (std::uint32_t i = 0; i < kPerProducer; ++i) {
             sec::exec::quiesce_hook(*c);
-            ASSERT_TRUE(c->put(st::tag(t, i)));
+            ASSERT_TRUE(c->push(st::tag(t, i)));
         }
         sec::exec::offline_hook(*c);
     });
 
-    // With no puts in flight, an empty take() means genuinely drained:
+    // With no pushes in flight, an empty pop() means genuinely drained:
     // every linearizable removal after that point also sees empty.
     std::vector<std::vector<Value>> taken(kConsumers);
     sec::exec::WorkerPool::run(kConsumers, [&](sec::exec::WorkerContext& wc) {
         const unsigned t = wc.index;
         for (;;) {
             sec::exec::quiesce_hook(*c);
-            auto v = c->take();
+            auto v = c->pop();
             if (!v) break;
             taken[t].push_back(*v);
         }
@@ -176,16 +174,16 @@ TYPED_TEST(ContainerConformanceTest, FifoTotalOrderUnderConcurrentChurn) {
             const unsigned t = wc.index;
             for (;;) {
                 sec::exec::quiesce_hook(*c);
-                if (auto v = c->take()) {
+                if (auto v = c->pop()) {
                     taken[t].push_back(*v);
                 } else if (done.load(std::memory_order_acquire)) {
                     // Producers finished and the queue read empty after
                     // that: one more sweep to close the race where the
-                    // final enqueue landed between our take and the
+                    // final enqueue landed between our pop and the
                     // done load.
                     for (;;) {
                         sec::exec::quiesce_hook(*c);
-                        auto w = c->take();
+                        auto w = c->pop();
                         if (!w) break;
                         taken[t].push_back(*w);
                     }
@@ -199,7 +197,7 @@ TYPED_TEST(ContainerConformanceTest, FifoTotalOrderUnderConcurrentChurn) {
             const unsigned t = wc.index;
             for (std::uint32_t i = 0; i < kPerProducer; ++i) {
                 sec::exec::quiesce_hook(*c);
-                ASSERT_TRUE(c->put(st::tag(t, i)));
+                ASSERT_TRUE(c->push(st::tag(t, i)));
             }
             sec::exec::offline_hook(*c);
         });

@@ -226,11 +226,11 @@ void queue_churn(Q& queue) {
             const std::uint64_t r = rng.next_below(4);
             if (r == 0) {
                 const Value v = tag(t, seq++);
-                queue.put(v);
+                queue.push(v);
                 pushed[t].push_back(v);
             } else if (r == 1) {
                 (void)queue.peek();
-            } else if (auto v = queue.take()) {
+            } else if (auto v = queue.pop()) {
                 popped[t].push_back(*v);
             }
         }
@@ -244,7 +244,7 @@ void queue_churn(Q& queue) {
         all_popped.insert(all_popped.end(), popped[t].begin(),
                           popped[t].end());
     }
-    while (auto v = queue.take()) all_popped.push_back(*v);
+    while (auto v = queue.pop()) all_popped.push_back(*v);
     queue.reclaim_offline();
 
     std::sort(all_pushed.begin(), all_pushed.end());

@@ -137,7 +137,6 @@ TEST(ScenarioRegistry, ListsAtLeastEightScenarios) {
 
 TEST(ScenarioRegistry, UnknownScenarioReturnsNonZero) {
     sb::ScenarioContext ctx;
-    ctx.env = sb::EnvConfig::load();
     ctx.algos = sb::AlgorithmRegistry::instance().default_set();
     EXPECT_EQ(sb::run_scenario("no_such_scenario", ctx), 2);
 }
@@ -277,6 +276,24 @@ TEST(SweepEngine, CsvMatchesTheGoldenSchema) {
     EXPECT_EQ(sweep_columns,
               (std::set<std::string>{"agg1_bo0", "agg1_bo64", "agg2_bo0",
                                      "agg2_bo64"}));
+}
+
+// A csv_row cell reaches stdout as `CSV,<the file row>`, so stdout and the
+// --csv file carry the same rows for every scenario.
+TEST(ScenarioContext, CsvRowPrintsTheFileRowOnStdout) {
+    sb::ScenarioContext ctx;
+    std::FILE* csv = std::tmpfile();
+    ASSERT_NE(csv, nullptr);
+    ctx.csv = csv;
+    testing::internal::CaptureStdout();
+    ctx.csv_row("latency_upd100", "SEC@t2", "p99_ns", 1234.5);
+    const std::string out = testing::internal::GetCapturedStdout();
+    std::rewind(csv);
+    char line[128] = {};
+    ASSERT_NE(std::fgets(line, sizeof line, csv), nullptr);
+    std::fclose(csv);
+    EXPECT_EQ(std::string(line), "latency_upd100,SEC@t2,p99_ns,1234.5000\n");
+    EXPECT_EQ(out, "CSV," + std::string(line));
 }
 
 // Regression: two scenarios run back-to-back in ONE invocation used to

@@ -38,8 +38,6 @@ struct SlowOpStack {
         return std::nullopt;
     }
     std::optional<value_type> peek() { return std::nullopt; }
-    bool put(value_type v) { return push(v); }
-    std::optional<value_type> take() { return pop(); }
 };
 
 sb::RunConfig slow_config() {

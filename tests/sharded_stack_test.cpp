@@ -205,6 +205,26 @@ TEST(ShardedStack, MigratingThreadChurnLosesNothing) {
         << "value lost, duplicated, or invented under sharded churn";
 }
 
+// Pinning must not change the home map: a pinned thread's home is its tid
+// hash, like an unpinned one's. (An L3-domain home put all four workers of
+// a one-L3 host on shard 0.) Where the kernel refuses affinity the workers
+// run unpinned and the check still holds.
+TEST(ShardedStack, PinnedWorkersKeepTheirTidHome) {
+    constexpr unsigned kWorkers = 4;
+    auto stack = make_sharded(4);
+    std::vector<std::size_t> homes(kWorkers), tids(kWorkers);
+    sec::exec::PoolOptions opts;
+    opts.pin = sec::topo::PinPolicy::kCompact;
+    sec::exec::WorkerPool::run(kWorkers, opts,
+                               [&](sec::exec::WorkerContext& wc) {
+                                   homes[wc.index] = stack->home_shard();
+                                   tids[wc.index] = sec::detail::tid();
+                               });
+    for (unsigned w = 0; w < kWorkers; ++w) {
+        EXPECT_EQ(homes[w], tids[w] % 4) << "worker " << w;
+    }
+}
+
 TEST(ShardStats, ImbalanceAndStealPctMath) {
     sec::shard::ShardStats ss;
     EXPECT_DOUBLE_EQ(ss.imbalance(), 1.0);  // idle structure reads balanced
