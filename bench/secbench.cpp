@@ -21,7 +21,6 @@
 #include <variant>
 #include <vector>
 
-#include "core/sharded_stack.hpp"
 #include "exec/topology.hpp"
 #include "workload/bench_json.hpp"
 #include "workload/env.hpp"
@@ -38,7 +37,7 @@ struct Args {
     std::vector<std::string> scenarios;  // positional names and --scenario
     std::vector<unsigned> threads;
     std::optional<std::uint64_t> duration_ms, runs, prefill, value_range, seed,
-        shards, port, repeats;
+        port, repeats;
     std::optional<double> load, tolerance;
     const char *algos = nullptr, *pin = nullptr, *reclaim = nullptr,
                *sweep = nullptr, *arrival = nullptr, *csv = nullptr,
@@ -109,8 +108,6 @@ const Flag kFlags[] = {
     {"--sweep", Kind::kText, &Args::sweep, "SPEC",
      "SEC tuning-surface cross-product, e.g.\nagg=1:5,backoff=0:4096; ranges "
      "lo:hi[:step]"},
-    {"--shards", Kind::kUnsigned, &Args::shards, "K",
-     "pin the 'sharding' scenario to K shards", 1, sec::shard::kMaxShards},
     {"--load", Kind::kDecimal, &Args::load, "KOPS",
      "'service' offered load (and 'knee' start)", 1},
     {"--arrival", Kind::kChoice, &Args::arrival, "poisson|burst",
@@ -310,7 +307,6 @@ int main(int argc, char** argv) {
     ctx.smoke = a.smoke;
     ctx.paper = a.paper;
     if (a.sweep != nullptr) ctx.sweep_spec = a.sweep;
-    ctx.shards = static_cast<unsigned>(a.shards.value_or(0));
     ctx.load_kops = a.load.value_or(0);
     if (a.arrival != nullptr) ctx.arrival = a.arrival;
     if (a.port) ctx.env.port = static_cast<unsigned>(*a.port);
@@ -427,10 +423,6 @@ int main(int argc, char** argv) {
         }
         std::vector<const sb::AlgoSpec*> mapped;
         for (const sb::AlgoSpec* spec : ctx.algos) {
-            // A registered variant IS that scheme's binding whether or not
-            // it can also borrow an external DomainHandle — the sharded
-            // variants keep per-shard private domains (supports_domain is
-            // false) yet still compose with --reclaim.
             const sb::AlgoSpec* variant =
                 algo_reg.find_variant(spec->base, reclaim_scheme);
             if (variant != nullptr) {
@@ -461,17 +453,14 @@ int main(int argc, char** argv) {
     // A shape-mixed selection benchmarks apples against oranges — a LIFO
     // and a FIFO structure do different work per operation — so refuse it
     // loudly instead of printing a table that invites the comparison.
-    // `unordered` (POOL) composes with either shape: dropping order is the
-    // documented point of the ablation_pool comparison. Checked after the
-    // --reclaim rebinding so the FINAL selection is what is judged.
+    // Checked after the --reclaim rebinding so the FINAL selection is what
+    // is judged.
     {
         std::string lifo_names, fifo_names;
         for (const sb::AlgoSpec* spec : ctx.algos) {
-            std::string* bucket =
-                spec->shape == sec::ContainerShape::lifo   ? &lifo_names
-                : spec->shape == sec::ContainerShape::fifo ? &fifo_names
-                                                           : nullptr;
-            if (bucket == nullptr) continue;
+            std::string* bucket = spec->shape == sec::ContainerShape::lifo
+                                      ? &lifo_names
+                                      : &fifo_names;
             if (!bucket->empty()) *bucket += ',';
             *bucket += spec->name;
         }

@@ -1,7 +1,7 @@
 // secserve — the standalone sec::net server (DESIGN.md §11): any
 // registry-built stack behind a TCP port, servable by a second process.
 //
-//   secserve --algo SEC@shard4 --port 7777
+//   secserve --algo SEC@hp --port 7777
 //
 // Port 0 (the default) binds an ephemeral port — the bound port is printed
 // on stdout (flushed) so a wrapper script can read it. By default the
@@ -32,7 +32,7 @@ void usage() {
         stderr,
         "usage: secserve [--algo NAME] [--port N] [--pin POLICY] [--list]\n"
         "  --algo NAME     registry algorithm to serve (default SEC);\n"
-        "                  any ALGO@scheme name, e.g. SEC@shard4\n"
+        "                  any ALGO@scheme name, e.g. SEC@hp\n"
         "  --port N        TCP port on 127.0.0.1 (default 0 = ephemeral;\n"
         "                  the bound port is printed)\n"
         "  --pin POLICY    pin the event-loop thread: none | compact |\n"

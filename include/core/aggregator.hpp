@@ -1,7 +1,7 @@
 // core/aggregator.hpp — the SEC batching engine (paper §3).
 //
-// An AggregatorSet partitions threads across K aggregators (contiguous
-// blocks or round-robin). A thread publishes its operation in its own
+// An AggregatorSet partitions threads across K aggregators in contiguous
+// blocks of thread ids. A thread publishes its operation in its own
 // cache-line slot, then races for its aggregator's freezer lock. The winner
 // — the freezer — optionally backs off for the freezer-backoff window so the
 // batch can grow (§3.1: "a short backoff before freezing B to increase the
@@ -18,9 +18,9 @@
 // Config::freezer_backoff_ns in nanoseconds with 0 meaning "freeze
 // immediately".
 //
-// K, the mapping and the backoff are fixed for the structure's lifetime, so
-// every thread has one home aggregator (DESIGN.md §5 records why there is
-// no runtime tuner).
+// K and the backoff are fixed for the structure's lifetime, so every thread
+// has one home aggregator (DESIGN.md §5 records why there is no runtime
+// tuner).
 //
 // SecStack enters through execute_direct_first(): one attempt on the spine,
 // and a publication here only when that attempt lost a race or the thread
@@ -50,10 +50,10 @@ public:
     // `eliminate` is the owning container's: when true (the paper's stack
     // semantics) the freezer matches concurrent push/pop pairs and
     // exchanges their values directly, so eliminated pairs never touch the
-    // central structure. Elimination is only legal for LIFO and unordered
-    // shapes: handing a dequeuer a *concurrent* enqueue's value would skip
-    // every older element in a FIFO, so SecQueue passes false — batching
-    // and single-CAS combining are shape-agnostic, elimination is not
+    // central structure. Elimination is only legal for the LIFO shape:
+    // handing a dequeuer a *concurrent* enqueue's value would skip every
+    // older element in a FIFO, so SecQueue passes false — batching and
+    // single-CAS combining are shape-agnostic, elimination is not
     // (DESIGN.md §12).
     AggregatorSet(const Config& cfg, bool eliminate)
         : cfg_(cfg), eliminate_(eliminate) {
@@ -61,7 +61,6 @@ public:
         num_aggs_ = std::min(cfg_.num_aggregators, cfg_.max_threads);
         slots_ = std::make_unique<Slot[]>(cfg_.max_threads);
         aggs_ = std::make_unique<Agg[]>(num_aggs_);
-        for (std::size_t a = 0; a < num_aggs_; ++a) aggs_[a].index = a;
         for (std::size_t t = 0; t < cfg_.max_threads; ++t) {
             aggs_[agg_of(t)].tids.push_back(static_cast<std::uint32_t>(t));
         }
@@ -85,8 +84,8 @@ public:
 
     // Run one operation of the calling thread `id` (its detail::tid(),
     // below Config::max_threads) through the batching protocol.
-    // `apply_pushes(agg, vals, n)` must push n values onto the backing
-    // structure; `apply_pops(agg, out, n)` must pop up to n values,
+    // `apply_pushes(vals, n)` must push n values onto the backing
+    // structure; `apply_pops(out, n)` must pop up to n values,
     // returning how many it got. Returns the popped value for kOpPop
     // (nullopt: empty), nullopt for push.
     template <class ApplyPushes, class ApplyPops>
@@ -211,7 +210,6 @@ private:
 
     struct alignas(kCacheLineSize) Agg {
         std::atomic<std::uint32_t> lock{0};
-        std::size_t index = 0;
         std::vector<std::uint32_t> tids;  // member thread ids, ascending
         // Scratch for the freezer, one entry per member; guarded by `lock`.
         std::unique_ptr<std::uint32_t[]> scratch_push;
@@ -224,12 +222,9 @@ private:
         std::atomic<std::uint64_t> combined{0};
     };
 
-    // Thread → home aggregator.
+    // Thread → home aggregator: contiguous blocks of max_threads / K ids.
     std::size_t agg_of(std::size_t tid) const noexcept {
-        if (cfg_.mapping == AggregatorMapping::kRoundRobin) {
-            return tid % num_aggs_;
-        }
-        return tid * num_aggs_ / cfg_.max_threads;  // contiguous blocks
+        return tid * num_aggs_ / cfg_.max_threads;
     }
 
     // Single-writer counter increment: plain load+store, no atomic RMW.
@@ -308,15 +303,14 @@ private:
             for (std::size_t i = 0; i < n; ++i) {
                 agg.scratch_vals[i] = slots_[agg.scratch_push[pairs + i]].in;
             }
-            apply_pushes(agg.index, agg.scratch_vals.get(), n);
+            apply_pushes(agg.scratch_vals.get(), n);
             for (std::size_t i = 0; i < n; ++i) {
                 slots_[agg.scratch_push[pairs + i]].state.store(
                     kDonePushed, std::memory_order_release);
             }
         } else if (nq > pairs) {
             const std::size_t n = nq - pairs;
-            const std::size_t got =
-                apply_pops(agg.index, agg.scratch_vals.get(), n);
+            const std::size_t got = apply_pops(agg.scratch_vals.get(), n);
             for (std::size_t i = 0; i < got; ++i) {
                 Slot& qs = slots_[agg.scratch_pop[pairs + i]];
                 qs.out = agg.scratch_vals[i];

@@ -14,10 +14,10 @@
 #endif
 
 // Branch-shape hints for the measured hot paths (spine walk, aggregator
-// execute loop, hazard validation, shard steal sweep). Only annotate
-// branches whose skew is structural — overflow fallbacks, CAS retries,
-// anchor invalidation — never ones whose skew is workload-dependent, so a
-// hint can't pessimize an unanticipated mix. Macros (not [[likely]]) so the
+// execute loop, hazard validation). Only annotate branches whose skew is
+// structural — overflow fallbacks, CAS retries, anchor invalidation — never
+// ones whose skew is workload-dependent, so a hint can't pessimize an
+// unanticipated mix. Macros (not [[likely]]) so the
 // condition itself carries the hint into gcc/clang's block layout and they
 // compose inside `while` headers.
 #if defined(__GNUC__) || defined(__clang__)

@@ -1,4 +1,4 @@
-// core/config.hpp — SecStack/ElimPool configuration and the per-run degree
+// core/config.hpp — SecStack/SecQueue configuration and the per-run degree
 // statistics (batching / elimination / combining, paper Table 1).
 //
 // Every knob documents its unit, its legal range, and the paper section it
@@ -14,13 +14,6 @@
 
 namespace sec {
 
-// How threads are spread across aggregators (§3.2: threads are assigned
-// "evenly"; the paper's prose example is contiguous blocks).
-enum class AggregatorMapping : std::uint8_t {
-    kContiguous,  // threads [0,M/K) -> agg 0, [M/K,2M/K) -> agg 1, ...
-    kRoundRobin,  // thread t -> agg t % K
-};
-
 inline constexpr std::size_t kMaxAggregators = 5;
 
 // Upper bound on Config::freezer_backoff_ns: 48 bits of nanoseconds ≈ 78
@@ -30,7 +23,9 @@ inline constexpr std::uint64_t kMaxFreezerBackoffNs =
     (std::uint64_t{1} << 48) - 1;
 
 struct Config {
-    // Number of aggregators — concurrent batches being formed.
+    // Number of aggregators — concurrent batches being formed. Thread ids
+    // map to them in contiguous blocks: [0,M/K) -> agg 0, [M/K,2M/K) ->
+    // agg 1, ... for M = max_threads (§3.2's prose example).
     //   unit: count · legal range: [1, kMaxAggregators] (validate() throws
     //   outside it) · paper: §3.2, swept in §6/Figure 4, whose update-heavy
     //   sweet spot is 2-4.
@@ -43,10 +38,6 @@ struct Config {
     //   never batch and retry their spine CAS until it lands
     //   (AggregatorSet::is_overflow), uncounted by stats().
     std::size_t max_threads = kMaxThreads;
-    // Thread → aggregator assignment policy.
-    //   legal range: the two enumerators above · paper: §3.2 prose
-    //   ("evenly"); `secbench ablation_mapping` compares the two.
-    AggregatorMapping mapping = AggregatorMapping::kContiguous;
     // Backoff the freezer executes before freezing a batch, to let the
     // batch grow and raise the elimination degree.
     //   unit: nanoseconds (busy-wait, steady_clock granularity) · legal
@@ -67,10 +58,6 @@ struct Config {
         if (max_threads < 1 || max_threads > kMaxThreads) {
             throw std::invalid_argument(
                 "sec::Config: max_threads must be in [1, kMaxThreads]");
-        }
-        if (mapping != AggregatorMapping::kContiguous &&
-            mapping != AggregatorMapping::kRoundRobin) {
-            throw std::invalid_argument("sec::Config: unknown mapping");
         }
         if (freezer_backoff_ns > kMaxFreezerBackoffNs) {
             // Malformed input, not a tuning choice: a longer window would

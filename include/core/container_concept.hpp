@@ -2,9 +2,9 @@
 // concept every structure in this library models.
 //
 // Nothing in the harness (phase templates, registry factories, reclaim
-// templating, the sharding façade, the net front-end) depends on LIFO order
-// — only on "insert a value" / "remove some value" / "observe without
-// removing". This header names that contract once:
+// templating, the net front-end) depends on LIFO order — only on "insert a
+// value" / "remove some value" / "observe without removing". This header
+// names that contract once:
 //
 //   * `push` / `pop` / `peek` are the only spellings. A queue's push
 //     enqueues and its pop dequeues; the runner phase loops, AnyStack and
@@ -24,25 +24,18 @@
 namespace sec {
 
 enum class ContainerShape : std::uint8_t {
-    lifo = 0,       // pop() returns the newest element (stack order)
-    fifo = 1,       // pop() returns the oldest element (queue order)
-    unordered = 2,  // pop() returns *some* element (ElimPool: order is
-                    // deliberately dropped to buy throughput)
+    lifo = 0,  // pop() returns the newest element (stack order)
+    fifo = 1,  // pop() returns the oldest element (queue order)
 };
 
 constexpr std::string_view shape_name(ContainerShape s) noexcept {
-    switch (s) {
-        case ContainerShape::lifo: return "lifo";
-        case ContainerShape::fifo: return "fifo";
-        default: return "unordered";
-    }
+    return s == ContainerShape::lifo ? "lifo" : "fifo";
 }
 
 // What a container must provide to participate in the library: a value
 // type, a removal-order trait, push (false only on resource exhaustion),
-// and optional-returning pop/peek (nullopt == EMPTY; for FIFO shapes peek
-// observes the element pop() would return, i.e. the front; ElimPool's peek
-// always returns nullopt).
+// and optional-returning pop/peek (nullopt == EMPTY; peek observes the
+// element pop() would return: the top of a stack, the front of a queue).
 template <class C>
 concept ConcurrentContainer =
     requires(C c, const typename C::value_type v) {

@@ -60,10 +60,10 @@ public:
         }
         (void)aggs_.execute(
             id, Aggs::kOpPush, v,
-            [this](std::size_t, const V* vals, std::size_t n) {
+            [this](const V* vals, std::size_t n) {
                 detail::fifo_put_chain(tail_, vals, n);
             },
-            [this](std::size_t, V* out, std::size_t n) {
+            [this](V* out, std::size_t n) {
                 typename R::Guard guard(*domain_);
                 return detail::fifo_take_chain(head_, guard, out, n);
             });
@@ -81,10 +81,10 @@ public:
         }
         return aggs_.execute(
             id, Aggs::kOpPop, V{},
-            [this](std::size_t, const V* vals, std::size_t n) {
+            [this](const V* vals, std::size_t n) {
                 detail::fifo_put_chain(tail_, vals, n);
             },
-            [this](std::size_t, V* out, std::size_t n) {
+            [this](V* out, std::size_t n) {
                 typename R::Guard guard(*domain_);
                 return detail::fifo_take_chain(head_, guard, out, n);
             });

@@ -107,12 +107,12 @@ private:
 
     // The freezer's application of a batch's leftover run: one CAS each.
     auto apply_pushes() {
-        return [this](std::size_t, const V* vals, std::size_t n) {
+        return [this](const V* vals, std::size_t n) {
             detail::spine_push_chain(top_, vals, n);
         };
     }
     auto apply_pops() {
-        return [this](std::size_t, V* out, std::size_t n) {
+        return [this](V* out, std::size_t n) {
             typename R::Guard guard(*domain_);
             return detail::spine_pop_chain(top_, guard, out, n);
         };

@@ -1,5 +1,5 @@
-// core/spine.hpp — the lock-free Treiber spine shared by SecStack, ElimPool,
-// and TreiberStack: single-attempt push and multi-pop (SecStack's direct
+// core/spine.hpp — the lock-free Treiber spine shared by SecStack and
+// TreiberStack: single-attempt push and multi-pop (SecStack's direct
 // entry), the batched single-CAS chain push and multi-pop that retry them,
 // reclaimer retirement, and teardown. Keeping it in one place keeps the
 // structures from diverging.

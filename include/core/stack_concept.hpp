@@ -103,8 +103,8 @@ public:
                                             bench::LatencyHistogram& sojourn,
                                             bench::LatencyHistogram& service) = 0;
 
-        // Degree counters when the concrete type maintains them (SecStack,
-        // ElimPool with Config::collect_stats).
+        // Degree counters when the concrete type maintains them (SecStack
+        // and SecQueue with Config::collect_stats).
         virtual bool has_stats() const { return false; }
         virtual StatsSnapshot stats() const { return {}; }
     };

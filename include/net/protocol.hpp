@@ -41,8 +41,8 @@ struct WireStats {
     std::uint64_t empties = 0; // pops that found the container empty
     std::uint64_t batches = 0; // readiness/completion batches drained
     // ContainerShape of the served structure as its wire byte (0 lifo,
-    // 1 fifo, 2 unordered) — a client learns whether PUSH/POP mean
-    // stack push/pop or enqueue/dequeue without out-of-band knowledge.
+    // 1 fifo) — a client learns whether PUSH/POP mean stack push/pop or
+    // enqueue/dequeue without out-of-band knowledge.
     std::uint8_t shape = 0;
 };
 

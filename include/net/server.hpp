@@ -76,19 +76,21 @@ private:
         std::vector<std::uint8_t> out;
         std::size_t out_off = 0;     // bytes of `out` already written
         bool paused = false;         // backpressure: decoding stopped
+        bool eof = false;            // the peer sends nothing more
         bool want_read = true;       // registered with read interest
         bool want_write = false;     // registered with write interest
     };
 
     void loop();
     void accept_ready();
-    // Each returns false when the connection must be closed (EOF / error /
-    // protocol violation).
-    // Read the socket into `in`, up to its bound.
+    // Each returns false when the connection must be closed (error /
+    // protocol violation / a half-closed peer fully answered).
+    // Read the socket into `in`, up to its bound or to EOF.
     bool conn_readable(int fd, Conn& conn);
     // Apply buffered requests and flush their replies, pausing and resuming
     // the connection on its unflushed output; then register the interest
-    // its state needs.
+    // its state needs. After EOF it keeps only write interest, and closes
+    // once every complete request read is answered and flushed.
     bool pump(int fd, Conn& conn, std::uint64_t& batch_requests);
     // Decode and apply whole frames from `in` until none is left or the
     // unflushed output reaches the high-water mark (`full`).

@@ -16,7 +16,7 @@
 //   * scale normalization — the global hardware-speed shift (the median
 //     current/baseline ratio over gated cells) is divided out before the
 //     tolerance test, so "this runner is 2x slower" passes while "the
-//     sharding scenario alone got 2x slower" fails;
+//     queue scenario alone got 2x slower" fails;
 //   * direction awareness — only cells whose unit marks them
 //     higher-is-better throughput ("Mops/s", "Kops/s") gate; latency and
 //     diagnostic cells are reported but never fail the build.

@@ -41,7 +41,7 @@ inline std::size_t tid_bound(unsigned threads) {
 }
 
 // Everything an algorithm factory may need for one run. `config` overrides
-// the default sec::Config for Config-built structures (SEC, POOL) and is
+// the default sec::Config for Config-built structures (SEC, SEC_Q) and is
 // ignored by the others; `domain` plugs in an external reclamation domain
 // where the structure supports one (AlgoSpec::supports_domain) — the handle
 // must carry the scheme the algorithm variant was registered for, or the
@@ -54,8 +54,7 @@ struct StackParams {
 
 // A Config honouring StackParams: an explicit config wins; otherwise the
 // default Config sized to the run's thread bound. Aggregators never exceed
-// max_threads. Shared by the built-in factories (src/registry.cpp) and the
-// sharded variants (src/shard.cpp) so the two can never drift.
+// max_threads.
 Config effective_stack_config(const StackParams& p);
 
 struct AlgoSpec {
@@ -65,16 +64,16 @@ struct AlgoSpec {
     bool default_set = false;  // one of the six Figure-2 competitors
     bool supports_domain = false;
     std::function<AnyStack(const StackParams&)> make;
-    // Derived by AlgorithmRegistry::add from `name` ("BASE" or "BASE@scheme"):
-    // the algorithm family and the reclamation scheme it is bound to ("" for
-    // structures without a reclaimer, i.e. CC/FC).
-    std::string base{};
-    std::string reclaim{};
     // Removal order of the structure (kShape of the erased type). Printed by
     // `secbench --list`; the driver refuses shape-mixed `--algos` sets and
     // the `queue` scenario selects on it. Defaults to lifo so positional
     // registrations of the stack era stay valid.
     ContainerShape shape = ContainerShape::lifo;
+    // Derived by AlgorithmRegistry::add from `name` ("BASE" or "BASE@scheme"):
+    // the algorithm family and the reclamation scheme it is bound to ("" for
+    // structures without a reclaimer, i.e. CC/FC/FCQ).
+    std::string base{};
+    std::string reclaim{};
 };
 
 class AlgorithmRegistry {
@@ -157,9 +156,6 @@ struct ScenarioContext {
     // (workload/sweep.hpp) and falls back to a small default grid when
     // empty.
     std::string sweep_spec{};
-    // --shards: pins the `sharding` scenario to one shard count (0 = derive
-    // from the selection, else the default grid).
-    unsigned shards = 0;
     // --load: offered load in Kops/s for the open-loop `service` scenario
     // (0 = the scenario's default; the `knee` scenario uses it as the
     // search's starting probe when given).
@@ -216,9 +212,6 @@ namespace detail {
 // constructor so the scenario translation unit is linked into consumers of
 // the registry (static-library registration would otherwise be dropped).
 void register_builtin_scenarios(ScenarioRegistry& reg);
-// Defined in src/shard.cpp, same linkage trick: the SEC@shardK (x reclaim
-// scheme) variants self-register from the sharding translation unit.
-void register_shard_algorithms(AlgorithmRegistry& reg);
 }  // namespace detail
 
 }  // namespace sec::bench

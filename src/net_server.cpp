@@ -17,6 +17,12 @@
 // the output below kOutLowWater. Its requests then queue in the kernel, and
 // TCP flow control slows a peer that sends faster than it reads; no peer
 // that follows the protocol is dropped, and buffers stay bounded.
+//
+// Half-close: a peer may shut down its sending side after its last request.
+// EOF stops the reads, not the connection: what was read is still decoded,
+// applied and flushed, and the connection closes once its output is empty.
+// A partial frame left at EOF can never complete; it goes with the
+// connection.
 #include "net/server.hpp"
 
 #include <cerrno>
@@ -231,7 +237,10 @@ bool SecServer::conn_readable(int fd, Conn& conn) {
             continue;
         }
         conn.in.resize(old);
-        if (n == 0) return false;  // EOF
+        if (n == 0) {
+            conn.eof = true;
+            break;
+        }
         if (errno == EINTR) continue;
         if (errno == EAGAIN || errno == EWOULDBLOCK) break;
         return false;
@@ -257,10 +266,12 @@ bool SecServer::pump(int fd, Conn& conn, std::uint64_t& batch_requests) {
             break;
         }
     }
-    // Read interest unless paused, write interest while output waits. A
-    // paused connection always has output waiting, so it stays watched.
-    const bool want_read = !conn.paused;
     const bool want_write = conn.out.size() > conn.out_off;
+    if (conn.eof && !want_write) return false;  // every reply flushed
+    // Read interest unless paused or at EOF (level-triggered EPOLLIN fires
+    // on every wait at EOF), write interest while output waits. A paused or
+    // half-closed connection has output waiting, so it stays watched.
+    const bool want_read = !conn.paused && !conn.eof;
     if (want_read == conn.want_read && want_write == conn.want_write) {
         return true;
     }

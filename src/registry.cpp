@@ -1,5 +1,5 @@
-// registry.cpp — AlgorithmRegistry (the six stacks + ElimPool self-register
-// here, plus the algo@reclaimer cross-product),
+// registry.cpp — AlgorithmRegistry (the six stacks and the FIFO trio
+// self-register here, plus the algo@reclaimer cross-product),
 // ReclaimerRegistry (the four sec::reclaim schemes), ScenarioRegistry, and
 // the shared scenario pipeline (ScenarioContext helpers, run_scenario).
 #include "workload/registry.hpp"
@@ -7,7 +7,6 @@
 #include <cstdio>
 #include <type_traits>
 
-#include "core/elim_pool.hpp"
 #include "reclaim/reclaim.hpp"
 #include "sec.hpp"
 #include "workload/any_runner.hpp"
@@ -26,9 +25,9 @@ AnyStack make_plain_stack(const StackParams& p) {
 }
 
 // Containers whose reclaimer is baked into S, sized by the run's effective
-// Config when Config-built (SecStack, SecQueue, ElimPool) and by the thread
-// bound otherwise; an external domain of the matching scheme is borrowed
-// when the handle carries one.
+// Config when Config-built (SecStack, SecQueue) and by the thread bound
+// otherwise; an external domain of the matching scheme is borrowed when the
+// handle carries one.
 template <ConcurrentContainer S>
 AnyStack make_bound_stack(const StackParams& p) {
     using R = typename S::reclaimer_type;
@@ -77,19 +76,14 @@ void register_reclaim_variants(AlgorithmRegistry& reg, int rank) {
         reg.add({variant("TSI"), desc("TSI"), rank + 3, false, true,
                  make_bound_stack<TsiStack<Value, R>>});
     }
-    reg.add({variant("POOL"), desc("POOL"), rank + 4, false, true,
-             make_bound_stack<ElimPool<Value, R>>, {}, {},
-             ContainerShape::unordered});
-    reg.add({variant("SEC_Q"), desc("SEC_Q"), rank + 5, false, true,
-             make_bound_stack<SecQueue<Value, R>>, {}, {},
-             ContainerShape::fifo});
-    reg.add({variant("MS"), desc("MS"), rank + 6, false, true,
-             make_bound_stack<MsQueue<Value, R>>, {}, {},
-             ContainerShape::fifo});
+    reg.add({variant("SEC_Q"), desc("SEC_Q"), rank + 4, false, true,
+             make_bound_stack<SecQueue<Value, R>>, ContainerShape::fifo});
+    reg.add({variant("MS"), desc("MS"), rank + 5, false, true,
+             make_bound_stack<MsQueue<Value, R>>, ContainerShape::fifo});
 }
 
 void register_builtin_algorithms(AlgorithmRegistry& reg) {
-    // The paper's six plus POOL — EBR-backed, names/columns unchanged.
+    // The paper's six — EBR-backed, names/columns unchanged.
     reg.add({"CC", "CC-Synch combining stack", 0, true, false,
              make_plain_stack<CcStack<Value>>});
     reg.add({"EB", "Treiber + elimination-backoff collision array", 1, true,
@@ -102,21 +96,18 @@ void register_builtin_algorithms(AlgorithmRegistry& reg) {
              make_bound_stack<TreiberStack<Value>>});
     reg.add({"TSI", "timestamped stack (per-thread pools)", 5, true, true,
              make_bound_stack<TsiStack<Value>>});
-    reg.add({"POOL", "ElimPool — SEC machinery, unordered, per-aggregator spines",
-             10, false, true, make_bound_stack<ElimPool<Value>>, {}, {},
-             ContainerShape::unordered});
     // The FIFO competitor trio (ROADMAP item 2): same registry, same
     // reclaim cross-product, selected by the `queue` scenario. Not in the
     // Figure-2 default set — that set is the paper's six stacks.
     reg.add({"SEC_Q",
              "sharded combining FIFO queue — SEC batching, no elimination",
-             12, false, true, make_bound_stack<SecQueue<Value>>, {}, {},
+             12, false, true, make_bound_stack<SecQueue<Value>>,
              ContainerShape::fifo});
     reg.add({"MS", "Michael-Scott queue (CAS per op on head/tail lines)", 13,
-             false, true, make_bound_stack<MsQueue<Value>>, {}, {},
+             false, true, make_bound_stack<MsQueue<Value>>,
              ContainerShape::fifo});
     reg.add({"FCQ", "flat-combining queue", 14, false, false,
-             make_plain_stack<FcQueue<Value>>, {}, {}, ContainerShape::fifo});
+             make_plain_stack<FcQueue<Value>>, ContainerShape::fifo});
     // The algo@reclaimer cross-product. The plain names above ARE the @ebr
     // bindings (no duplicate "@ebr" specs), so existing scenario keys and
     // CSV output are unchanged.
@@ -150,10 +141,7 @@ Config effective_stack_config(const StackParams& p) {
 
 // ---- AlgorithmRegistry -----------------------------------------------------
 
-AlgorithmRegistry::AlgorithmRegistry() {
-    register_builtin_algorithms(*this);
-    detail::register_shard_algorithms(*this);
-}
+AlgorithmRegistry::AlgorithmRegistry() { register_builtin_algorithms(*this); }
 
 AlgorithmRegistry& AlgorithmRegistry::instance() {
     static AlgorithmRegistry reg;
@@ -161,17 +149,12 @@ AlgorithmRegistry& AlgorithmRegistry::instance() {
 }
 
 void AlgorithmRegistry::add(AlgoSpec spec) {
-    // Derive the family / scheme split from the "BASE@scheme" naming
-    // convention unless the registrant set them explicitly.
-    if (spec.base.empty()) {
-        const auto at = spec.name.find('@');
-        spec.base = spec.name.substr(0, at);
-        if (spec.reclaim.empty()) {
-            spec.reclaim = at == std::string::npos
-                               ? (spec.supports_domain ? "ebr" : "")
-                               : spec.name.substr(at + 1);
-        }
-    }
+    // The family / scheme split follows the "BASE@scheme" naming convention.
+    const auto at = spec.name.find('@');
+    spec.base = spec.name.substr(0, at);
+    spec.reclaim = at == std::string::npos
+                       ? (spec.supports_domain ? "ebr" : "")
+                       : spec.name.substr(at + 1);
     const auto pos = std::find_if(
         specs_.begin(), specs_.end(),
         [&spec](const std::unique_ptr<AlgoSpec>& s) {

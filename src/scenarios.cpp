@@ -5,14 +5,10 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
-#include "core/elim_pool.hpp"
-#include "core/sharded_stack.hpp"
 #include "exec/topology.hpp"
 #include "net/client.hpp"
 #include "net/server.hpp"
@@ -431,260 +427,6 @@ int ablation_backoff(const ScenarioContext& ctx) {
     return 0;
 }
 
-// ---- ablation_mapping: contiguous vs round-robin thread mapping (§6) -------
-
-int ablation_mapping(const ScenarioContext& ctx) {
-    const AlgoSpec& sec_algo = *AlgorithmRegistry::instance().find("SEC");
-    Table table("ablation_mapping_upd100", {"contiguous", "round_robin"});
-    const std::pair<AggregatorMapping, const char*> mappings[] = {
-        {AggregatorMapping::kContiguous, "contiguous"},
-        {AggregatorMapping::kRoundRobin, "round_robin"},
-    };
-    for (const auto& [mapping, column] : mappings) {
-        for (unsigned t : ctx.env.threads) {
-            Config cfg = effective_stack_config({.threads = t});
-            cfg.mapping = mapping;
-            StackParams params;
-            params.threads = t;
-            params.config = &cfg;
-            const RunResult r = run_throughput_any(
-                [&] { return sec_algo.make(params); },
-                ctx.run_config(t, kUpdateHeavy));
-            table.add(t, column, r.mops);
-            progress_line(column, t, r.mops);
-        }
-    }
-    ctx.emit(table);
-    return 0;
-}
-
-// ---- ablation_pool: SEC stack vs ElimPool — the price of LIFO (§6) ---------
-
-int ablation_pool(const ScenarioContext& ctx) {
-    const AlgoSpec& sec_algo = *AlgorithmRegistry::instance().find("SEC");
-    const AlgoSpec& pool_algo = *AlgorithmRegistry::instance().find("POOL");
-    Table table("ablation_pool_vs_stack_upd100",
-                {"SEC_stack", "ElimPool_K2", "ElimPool_K4"});
-    for (unsigned t : ctx.env.threads) {
-        const RunConfig rcfg = ctx.run_config(t, kUpdateHeavy);
-        StackParams params;
-        params.threads = t;
-        const RunResult r1 =
-            run_throughput_any([&] { return sec_algo.make(params); }, rcfg);
-        table.add(t, "SEC_stack", r1.mops);
-
-        double pool_mops[2] = {0, 0};
-        int i = 0;
-        for (std::size_t k : {std::size_t{2}, std::size_t{4}}) {
-            Config cfg = effective_stack_config({.threads = t});
-            cfg.num_aggregators = std::min<std::size_t>(k, cfg.max_threads);
-            StackParams pp;
-            pp.threads = t;
-            pp.config = &cfg;
-            const RunResult r =
-                run_throughput_any([&] { return pool_algo.make(pp); }, rcfg);
-            table.add(t, "ElimPool_K" + std::to_string(k), r.mops);
-            pool_mops[i++] = r.mops;
-        }
-        std::fprintf(stderr,
-                     "t=%-4u stack=%.2f poolK2=%.2f poolK4=%.2f Mops/s\n", t,
-                     r1.mops, pool_mops[0], pool_mops[1]);
-    }
-    ctx.emit(table);
-    return 0;
-}
-
-// ---- sharding: plain SEC vs the sec::shard façade (DESIGN.md §8) -----------
-
-// One measured grid point of a K-sharded SEC over reclaimer R, built
-// statically (not via the registry) so the shard-level counters stay
-// reachable after the run; fresh structure per run, stats from the last.
-template <reclaim::Reclaimer R>
-RunResult sharded_sec_point(const Config& cfg, std::size_t k,
-                            const RunConfig& rcfg, shard::ShardStats* out) {
-    using Inner = SecStack<Value, R>;
-    using Sharded = shard::ShardedStack<Inner>;
-    shard::ShardConfig scfg;
-    scfg.num_shards = k;
-    scfg.max_threads = cfg.max_threads;
-    std::unique_ptr<Sharded> holder;
-    const RunResult r = run_throughput(
-        [&] {
-            holder = std::make_unique<Sharded>(scfg, [&cfg](std::size_t) {
-                return std::make_unique<Inner>(cfg);
-            });
-            return holder.get();
-        },
-        rcfg);
-    if (out != nullptr) *out = holder->shard_stats();
-    return r;
-}
-
-using ShardedPointFn = RunResult (*)(const Config&, std::size_t,
-                                     const RunConfig&, shard::ShardStats*);
-
-// The first scenario that measures load DISTRIBUTION, not just aggregate
-// Mops: per shard-count column it reports the per-shard imbalance
-// (max/mean ops, 1.0 = balanced) and the steal rate (% of successful pops
-// served by a foreign shard) next to the throughput, on the push-pop
-// (upd100) mix where the single-spine anchor saturates first. Honours
-// --reclaim: both the baseline and the sharded inner stacks run over the
-// selected scheme, and the columns carry the scheme-qualified names.
-int sharding(const ScenarioContext& ctx) {
-    // Shard counts and scheme from the selection: --shards pins the count;
-    // else any SEC@shardK (or SEC@shardK@scheme) in --algos; else the
-    // default {2,4,8} grid ({2} under --smoke). The scheme comes from
-    // --reclaim when given, else from a scheme-qualified selection —
-    // `--algos SEC@shard4@hp` alone must not silently measure EBR.
-    std::vector<std::size_t> ks;
-    std::string scheme = ctx.reclaim;
-    for (const AlgoSpec* a : ctx.algos) {
-        constexpr std::string_view kPrefix = "SEC@shard";
-        if (a->base.rfind(kPrefix, 0) != 0) continue;
-        const unsigned long k =
-            std::strtoul(a->base.c_str() + kPrefix.size(), nullptr, 10);
-        if (k >= 1 && k <= shard::kMaxShards) ks.push_back(k);
-        if (ctx.reclaim.empty()) {
-            if (scheme.empty()) {
-                scheme = a->reclaim;
-            } else if (scheme != a->reclaim) {
-                std::fprintf(stderr,
-                             "sharding: selection mixes reclaim schemes "
-                             "('%s' vs '%s'); pick one or use --reclaim\n",
-                             scheme.c_str(), a->reclaim.c_str());
-                return 2;
-            }
-        }
-    }
-    if (scheme.empty()) scheme = "ebr";
-    if (ctx.shards > 0) {
-        if (ctx.shards > shard::kMaxShards) {
-            std::fprintf(stderr,
-                         "sharding: --shards %u exceeds kMaxShards=%zu; "
-                         "clamping\n",
-                         ctx.shards, shard::kMaxShards);
-        }
-        ks.assign(1, std::min<std::size_t>(ctx.shards, shard::kMaxShards));
-    } else if (ks.empty()) {
-        ks = ctx.smoke ? std::vector<std::size_t>{2}
-                       : std::vector<std::size_t>{2, 4, 8};
-    }
-    std::sort(ks.begin(), ks.end());
-    ks.erase(std::unique(ks.begin(), ks.end()), ks.end());
-
-    ShardedPointFn point = nullptr;
-    if (scheme == "ebr") {
-        point = sharded_sec_point<reclaim::EpochDomain>;
-    } else if (scheme == "hp") {
-        point = sharded_sec_point<reclaim::HazardDomain>;
-    } else if (scheme == "qsbr") {
-        point = sharded_sec_point<reclaim::QsbrDomain>;
-    } else if (scheme == "leak") {
-        point = sharded_sec_point<reclaim::LeakyDomain>;
-    }
-    const AlgoSpec* baseline =
-        AlgorithmRegistry::instance().find_variant("SEC", scheme);
-    if (point == nullptr || baseline == nullptr) {
-        // Refuse rather than silently measure EBR under a scheme the
-        // preamble claims: mislabelled CSV is worse than no CSV.
-        std::fprintf(stderr,
-                     "sharding: no sharded SEC binding for reclaim scheme "
-                     "'%s'\n",
-                     scheme.c_str());
-        return 2;
-    }
-    // Scheme-qualified column names, matching the registry convention
-    // (plain names are the @ebr binding).
-    const std::string suffix = scheme == "ebr" ? "" : "@" + scheme;
-
-    std::vector<std::string> columns{baseline->name};
-    for (std::size_t k : ks) {
-        columns.push_back("SEC@shard" + std::to_string(k) + suffix);
-    }
-    Table table("sharding", columns);
-    std::printf(
-        "# sharded SEC vs the single-spine baseline, upd100 mix, %s "
-        "reclamation;\n"
-        "# imbalance = max/mean ops across shards (1.0 = perfectly "
-        "balanced),\n"
-        "# steal%% = successful pops served by a foreign shard\n",
-        scheme.c_str());
-
-    double sec_at_tmax = 0.0;
-    std::vector<double> shard_at_tmax(ks.size(), 0.0);
-    const unsigned tmax =
-        *std::max_element(ctx.env.threads.begin(), ctx.env.threads.end());
-    for (unsigned t : ctx.env.threads) {
-        const RunConfig rcfg = ctx.run_config(t, kUpdateHeavy);
-        StackParams params;
-        params.threads = t;
-        const RunResult base =
-            run_throughput_any([&] { return baseline->make(params); }, rcfg);
-        table.add(t, baseline->name, base.mops);
-        progress_line(baseline->name, t, base.mops);
-        if (t == tmax) sec_at_tmax = base.mops;
-
-        for (std::size_t ki = 0; ki < ks.size(); ++ki) {
-            const std::size_t k = ks[ki];
-            const std::string& column = columns[1 + ki];
-            const Config cfg = effective_stack_config({.threads = t});
-            shard::ShardStats ss;
-            const RunResult r = point(cfg, k, rcfg, &ss);
-            table.add(t, column, r.mops);
-            progress_line(column, t, r.mops);
-            if (t == tmax) shard_at_tmax[ki] = r.mops;
-
-            std::string per_shard;
-            for (std::uint64_t ops : ss.shard_ops) {
-                if (!per_shard.empty()) per_shard += ',';
-                per_shard += std::to_string(ops);
-            }
-            std::printf(
-                "SHARD %-12s t=%-4u %8.2f Mops/s imbalance=%.2f "
-                "steal%%=%.2f probes=%llu empty=%llu shard_ops=[%s]\n",
-                column.c_str(), t, r.mops, ss.imbalance(), ss.steal_pct(),
-                static_cast<unsigned long long>(ss.steal_probes),
-                static_cast<unsigned long long>(ss.empty_pops),
-                per_shard.c_str());
-            const std::string key = column + "@t" + std::to_string(t);
-            ctx.csv_row("sharding_shards", key, "imbalance", ss.imbalance());
-            ctx.csv_row("sharding_shards", key, "steal_pct", ss.steal_pct());
-            ctx.csv_row("sharding_shards", key, "empty_pops",
-                        static_cast<double>(ss.empty_pops));
-        }
-    }
-    ctx.emit(table);
-
-    // Headline: the widest measured shard count (preferring 4, the
-    // acceptance configuration) against the single spine at the top of the
-    // thread grid — with the why when sharding loses.
-    std::size_t hi = ks.size() - 1;
-    for (std::size_t ki = 0; ki < ks.size(); ++ki) {
-        if (ks[ki] == 4) hi = ki;
-    }
-    if (sec_at_tmax > 0.0) {
-        const double ratio = shard_at_tmax[hi] / sec_at_tmax;
-        const unsigned hw = std::thread::hardware_concurrency();
-        std::printf(
-            "# sharding speedup @ t=%u: %s %.2f vs %s %.2f "
-            "Mops/s (%.2fx)%s\n",
-            tmax, columns[1 + hi].c_str(), shard_at_tmax[hi],
-            baseline->name.c_str(), sec_at_tmax, ratio,
-            ratio >= 1.0
-                ? ""
-                : " — expected on few-core hosts: shards only pay off when "
-                  "they run on distinct cores; here the shards time-share "
-                  "the same core(s), so per-shard cache footprint and the "
-                  "steal sweep on a drained home shard dominate");
-        if (ratio < 1.0 && hw > 0) {
-            std::printf("# (hw_threads=%u on this host)\n", hw);
-        }
-        ctx.csv_row("sharding_summary", std::to_string(tmax),
-                    "shard" + std::to_string(ks[hi]) + "_over_sec", ratio);
-    }
-    return 0;
-}
-
 // ---- service: open-loop offered-load tail latency (DESIGN.md §9) -----------
 
 // Lane split for one grid point: the grid value is the CONSUMER count (the
@@ -1069,16 +811,6 @@ void register_builtin_scenarios(ScenarioRegistry& reg) {
              sweep});
     reg.add({"ablation_backoff", "freezer backoff window sweep (DESIGN.md §6)",
              ablation_backoff});
-    reg.add({"ablation_mapping",
-             "contiguous vs round-robin thread mapping (DESIGN.md §6)",
-             ablation_mapping});
-    reg.add({"ablation_pool",
-             "SEC stack vs ElimPool — the price of LIFO (DESIGN.md §6)",
-             ablation_pool});
-    reg.add({"sharding",
-             "SEC vs SEC@shardK: Mops + per-shard imbalance + steal rate "
-             "(DESIGN.md §8)",
-             sharding});
     reg.add({"service",
              "open-loop offered-load tail latency, no coordinated omission "
              "(DESIGN.md §9)",

@@ -1,9 +1,10 @@
 // linearizability_test — short concurrent histories on fresh stacks,
-// checked by the Wing–Gong search in container_checkers.hpp. SecStack runs
-// direct single-CAS ops and batched (eliminated or combined) ops on one
-// spine, so its histories must linearize whichever path each op took; the
-// SEC cases also require both paths to have run. Hand-built histories and a
-// mutant stack show the checker rejects what it should.
+// checked by the Wing–Gong search in container_checkers.hpp. Every `lifo`
+// registry row must linearize. SecStack runs direct single-CAS ops and
+// batched (eliminated or combined) ops on one spine, so its histories must
+// linearize whichever path each op took; the SEC cases also require both
+// paths to have run. Hand-built histories and a mutant stack show the
+// checker rejects what it should.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -176,15 +177,28 @@ TEST(Linearizability, SecHazardHistoriesLinearizeOnBothPaths) {
         1'000'001);
 }
 
-TEST(Linearizability, TreiberHistoriesLinearize) {
-    using Stack = sec::TreiberStack<Value>;
-    HistoryRig<Stack> rig([] { return std::make_unique<Stack>(kThreads); });
-    std::uint64_t rejected = 0;
-    for (std::uint64_t seed = 1; seed <= kHistories; ++seed) {
-        if (!rig.run(seed)) ++rejected;
+// Every registry row that declares stack order, each reclaimer binding
+// included, as the registry builds it: a row that claims `lifo` must give
+// it.
+TEST(Linearizability, EveryLifoRegistryRowLinearizes) {
+    unsigned rows = 0;
+    for (const sec::bench::AlgoSpec* spec :
+         sec::bench::AlgorithmRegistry::instance().all()) {
+        if (spec->shape != sec::ContainerShape::lifo) continue;
+        SCOPED_TRACE(spec->name);
+        HistoryRig<sec::AnyStack> rig([spec] {
+            return std::make_unique<sec::AnyStack>(
+                spec->make({.threads = kThreads}));
+        });
+        std::uint64_t rejected = 0;
+        for (std::uint64_t seed = 1; seed <= kHistories; ++seed) {
+            if (!rig.run(seed)) ++rejected;
+        }
+        EXPECT_EQ(rejected, 0u) << "first non-linearizable history, "
+                                << rig.first_failure();
+        ++rows;
     }
-    EXPECT_EQ(rejected, 0u) << "first non-linearizable history, "
-                            << rig.first_failure();
+    EXPECT_GT(rows, 0u);
 }
 
 // ---- the checker says no ----------------------------------------------------

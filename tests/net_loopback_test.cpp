@@ -14,6 +14,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <unistd.h>
@@ -92,6 +93,21 @@ public:
             off += static_cast<std::size_t>(n);
         }
         return true;
+    }
+
+    // Hold writes back until half_close() sends them with the FIN in one
+    // segment, so the server reads the last request and EOF together.
+    bool cork() {
+        const int one = 1;
+        return ::setsockopt(fd_, IPPROTO_TCP, TCP_CORK, &one, sizeof(one)) ==
+               0;
+    }
+    bool half_close() { return ::shutdown(fd_, SHUT_WR) == 0; }
+
+    // True when every reply has been taken and the server closed its side.
+    bool at_eof() {
+        std::uint8_t byte = 0;
+        return buf_.empty() && ::read(fd_, &byte, 1) == 0;
     }
 
     // Block for the next response frame.
@@ -312,6 +328,57 @@ TEST(NetLoopback, FlushesBufferedRepliesOnWritability) {
     EXPECT_EQ(server.stats().empties, kRequests);
 
     server.stop();
+}
+
+// A peer that half-closes after its last request is well-behaved TCP: the
+// server answers every request it read, in order, and only then closes.
+TEST(NetLoopback, HalfClosedPeerGetsEveryReply) {
+    SecServer server(make_stack(), {});
+    std::string err;
+    ASSERT_TRUE(server.start(&err)) << err;
+
+    SyncClient client;
+    ASSERT_TRUE(client.connect_to(server.port()));
+    ASSERT_TRUE(client.cork());
+    constexpr std::uint64_t kRequests = 1000;
+    std::vector<std::uint8_t> wire;
+    for (std::uint64_t i = 0; i < kRequests; ++i) {
+        Message req;
+        req.type = MsgType::kPopReq;
+        req.tag = i;
+        encode(req, wire);
+    }
+    ASSERT_TRUE(client.send_all(wire));
+    ASSERT_TRUE(client.half_close());
+    for (std::uint64_t i = 0; i < kRequests; ++i) {
+        Message resp;
+        ASSERT_TRUE(client.receive(resp)) << "reply " << i;
+        ASSERT_EQ(resp.tag, i);
+        ASSERT_FALSE(resp.ok);
+    }
+    EXPECT_TRUE(client.at_eof());
+
+    // A partial frame before the FIN can never complete: the request before
+    // it is still answered, then the connection closes.
+    SyncClient torn;
+    ASSERT_TRUE(torn.connect_to(server.port()));
+    ASSERT_TRUE(torn.cork());
+    wire.clear();
+    Message req;
+    req.type = MsgType::kPopReq;
+    req.tag = kRequests;
+    encode(req, wire);
+    encode(req, wire);
+    wire.resize(wire.size() - 1);
+    ASSERT_TRUE(torn.send_all(wire));
+    ASSERT_TRUE(torn.half_close());
+    Message resp;
+    ASSERT_TRUE(torn.receive(resp));
+    EXPECT_EQ(resp.tag, kRequests);
+    EXPECT_TRUE(torn.at_eof());
+
+    server.stop();
+    EXPECT_EQ(server.stats().empties, kRequests + 1);
 }
 
 // Backpressure: a peer that sends far faster than it reads is slowed by TCP

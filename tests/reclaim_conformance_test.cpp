@@ -286,7 +286,7 @@ TEST(ReclaimRegistry, CrossProductRoundTripsAndBindsDomains) {
     unsigned combos = 0;
     for (const sec::bench::ReclaimerSpec* scheme : rec_reg.all()) {
         for (const char* base :
-             {"TRB", "SEC", "EB", "TSI", "POOL", "MS", "SEC_Q"}) {
+             {"TRB", "SEC", "EB", "TSI", "MS", "SEC_Q"}) {
             const sec::bench::AlgoSpec* spec =
                 algo_reg.find_variant(base, scheme->name);
             if (spec == nullptr) continue;  // TSI@hp intentionally absent

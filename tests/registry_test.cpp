@@ -35,8 +35,8 @@ TEST(AlgorithmRegistry, UnknownNameReportsTheAvailableSet) {
 }
 
 // Every registered algorithm round-trips values through the erased handle:
-// pushed multiset == popped multiset (POOL is unordered, so no LIFO check
-// here), and the empty structure pops nullopt.
+// pushed multiset == popped multiset (the FIFO rows are here too, so no
+// LIFO check), and the empty structure pops nullopt.
 TEST(AnyStack, EveryRegisteredAlgorithmRoundTripsPushPop) {
     for (const sb::AlgoSpec* spec : sb::AlgorithmRegistry::instance().all()) {
         SCOPED_TRACE(spec->name);
@@ -129,8 +129,7 @@ TEST(ScenarioRegistry, ListsAtLeastEightScenarios) {
     EXPECT_GE(reg.all().size(), 8u);
     for (const char* name :
          {"fig2", "fig3", "fig4", "table1", "latency", "reclamation",
-          "sweep", "ablation_backoff", "ablation_mapping",
-          "ablation_pool", "sharding", "micro"}) {
+          "sweep", "ablation_backoff", "micro"}) {
         EXPECT_NE(reg.find(name), nullptr) << name;
     }
 }

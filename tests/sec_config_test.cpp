@@ -1,8 +1,8 @@
 // sec_config_test.cpp — Config validation and the stats plumbing behind
-// `secbench table1`: aggregator counts 1-5, both mapping modes,
-// collect_stats yielding non-zero batching/elimination degrees on an
-// update-heavy mix, and the direct-entry accounting (every push and pop is
-// counted once, as direct or as batched).
+// `secbench table1`: aggregator counts 1-5, workers on one aggregator or
+// spread over several, collect_stats yielding non-zero
+// batching/elimination degrees on an update-heavy mix, and the direct-entry
+// accounting (every push and pop is counted once, as direct or as batched).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -56,12 +56,14 @@ TEST(SecConfigTest, AcceptsAllAggregatorCounts) {
     }
 }
 
+// Thread ids map to aggregators in blocks of max_threads / K. With the
+// default K = 4, max_threads = kMaxThreads (512) puts ids 0-127, and so
+// every worker here, on one aggregator; max_threads 8 gives each pair of
+// ids its own.
 TEST(SecConfigTest, MappingModesPreserveSemantics) {
-    for (auto mapping : {sec::AggregatorMapping::kContiguous,
-                         sec::AggregatorMapping::kRoundRobin}) {
+    for (std::size_t max_threads : {sec::kMaxThreads, std::size_t{8}}) {
         sec::Config cfg;
-        cfg.mapping = mapping;
-        cfg.max_threads = 16;
+        cfg.max_threads = max_threads;
         Stack stack(cfg);
         constexpr unsigned kThreads = 4;
         constexpr std::uint64_t kPerThread = 5000;

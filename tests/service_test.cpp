@@ -92,9 +92,8 @@ TEST(ServiceRun, ModestLoadDrainsCompletely) {
     EXPECT_GT(r.window_s, 0.0);
 }
 
-TEST(ServiceRun, ComposesWithShardedAndHpVariants) {
-    for (const char* algo :
-         {"TRB", "FC", "SEC@shard2", "SEC@hp", "SEC@qsbr"}) {
+TEST(ServiceRun, ComposesWithHpAndQsbrVariants) {
+    for (const char* algo : {"TRB", "FC", "SEC@hp", "SEC@qsbr"}) {
         SCOPED_TRACE(algo);
         sb::ServiceConfig cfg;
         cfg.producers = 1;
