@@ -34,7 +34,7 @@ namespace {
 // What the command line said. An empty optional, vector or null string
 // means the flag was not given.
 struct Args {
-    std::vector<std::string> scenarios;  // positional names and --scenario
+    std::vector<std::string> scenarios;  // the positional names
     std::vector<unsigned> threads;
     std::optional<std::uint64_t> duration_ms, runs, prefill, value_range, seed,
         port, repeats;
@@ -55,12 +55,11 @@ enum class Kind {
     kSwitch,    // takes no value
 };
 
-// Where a flag's value goes: the Args member of its kind's type. A kText
-// flag into a vector appends; every other flag overwrites.
+// Where a flag's value goes: the Args member of its kind's type.
 using Dest = std::variant<std::optional<std::uint64_t> Args::*,
                           std::optional<double> Args::*,
                           std::vector<unsigned> Args::*, const char* Args::*,
-                          std::vector<std::string> Args::*, bool Args::*>;
+                          bool Args::*>;
 
 struct Flag {
     const char* name;
@@ -86,8 +85,6 @@ const Flag kFlags[] = {
     {"--help", Kind::kSwitch, &Args::help, nullptr, "print this help (also -h)"},
     {"--list", Kind::kSwitch, &Args::list, nullptr,
      "print scenarios, algorithms and reclaimers"},
-    {"--scenario", Kind::kText, &Args::scenarios, "NAME",
-     "same as a positional scenario name"},
     {"--algos", Kind::kText, &Args::algos, "A,B,...",
      "algorithms (default: the six paper competitors)"},
     {"--threads", Kind::kGrid, &Args::threads, "1,4,16", "thread grid"},
@@ -194,12 +191,7 @@ bool store(const Flag& f, const char* value, Args& a) {
             if (!f.valid(value)) return false;
             [[fallthrough]];
         case Kind::kText:
-            if (auto* list =
-                    std::get_if<std::vector<std::string> Args::*>(&f.dest)) {
-                (a.**list).push_back(value);
-            } else {
-                member<const char*>(a, f) = value;
-            }
+            member<const char*>(a, f) = value;
             return true;
         case Kind::kSwitch:
             member<bool>(a, f) = true;

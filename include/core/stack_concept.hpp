@@ -10,9 +10,9 @@
 // loop), not individual operations. A worker thread crosses the virtual
 // boundary once per phase and then runs a loop that was instantiated against
 // the concrete stack type (see the phase_* templates in workload/runner.hpp),
-// so push/pop/peek inline exactly as they do in the statically-typed
-// run_throughput path. The per-op virtuals below exist for tests and
-// low-rate use, never for measurement loops.
+// so push/pop/peek inline exactly as they do when the phase is called
+// directly (`secbench micro` compares the two). The per-op virtuals below
+// exist for tests and low-rate use, never for measurement loops.
 #pragma once
 
 #include <atomic>

@@ -6,7 +6,7 @@
 // request's identity is its schedule index (echoed by the server in the
 // frame tag), and a reply is charged completion minus *scheduled* arrival
 // (sojourn) — a reply delayed behind a backed-up connection is billed its
-// full queueing delay even if the sender fell behind its own schedule. RTT
+// full queueing delay even if the client fell behind its own schedule. RTT
 // (reply minus actual send) is recorded side by side as the closed-loop
 // contrast, exactly like the sojourn/service histogram pair.
 #pragma once
@@ -27,14 +27,10 @@ struct LoopbackClientConfig {
     // Offered load across ALL connections, Kops/s (the --load unit).
     double load_kops = 20.0;
     std::chrono::milliseconds duration{200};
+    // Half the requests are pushes and half pops; a burst arrival takes
+    // ServiceConfig's burst shape.
     bench::ArrivalKind arrival = bench::ArrivalKind::kPoisson;
-    std::chrono::milliseconds burst_period{10};
-    double burst_duty = 0.25;
-    unsigned push_pct = 50;  // % of requests that are pushes (rest pops)
     std::uint64_t seed = 0;
-    // How long after the last send to wait for outstanding replies before
-    // declaring them lost.
-    std::chrono::milliseconds drain_grace{5000};
 };
 
 struct LoopbackClientResult {
@@ -42,7 +38,7 @@ struct LoopbackClientResult {
     std::string error;
     std::uint64_t sent = 0;
     std::uint64_t replies = 0;
-    std::uint64_t lost = 0;   // sent - replies once the grace expired
+    std::uint64_t lost = 0;   // sent - replies once the 5 s grace expired
     std::uint64_t pushes = 0;
     std::uint64_t pop_hits = 0;
     std::uint64_t pop_empties = 0;
@@ -53,10 +49,11 @@ struct LoopbackClientResult {
     bench::LatencyHistogram rtt;      // reply - actual send
 };
 
-// Connect cfg.connections sockets, replay one arrival schedule per
-// connection (sender thread paces, receiver thread charges replies), and
-// merge the per-connection histograms. Blocking; returns when every reply
-// arrived or the drain grace expired.
+// Connect cfg.connections sockets and replay one arrival schedule per
+// connection from one paced loop on the calling thread, charging each reply
+// as it is read. Blocking; returns when every sent request has its reply,
+// or 5 s after the last send. A connection that fails stops there, and its
+// unanswered requests count as lost.
 LoopbackClientResult run_loopback_client(const LoopbackClientConfig& cfg);
 
 }  // namespace sec::net

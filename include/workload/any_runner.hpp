@@ -1,9 +1,9 @@
-// workload/any_runner.hpp — the timed-window / latency / churn runners over
-// the type-erased AnyStack. These mirror run_throughput (workload/runner.hpp)
-// but take registry factories, so scenarios drive any registered algorithm
-// without a template instantiation per call site. Virtual dispatch is per
-// phase (see core/stack_concept.hpp), so the measured loops are identical to
-// the statically-typed path.
+// workload/any_runner.hpp — the closed-loop runners: timed-window
+// throughput, per-op latency, and fixed-op churn, all over the type-erased
+// AnyStack, so scenarios drive any registered algorithm without a template
+// instantiation per call site. Virtual dispatch is per phase (see
+// core/stack_concept.hpp), so each measured loop is the phase template
+// instantiated against the concrete stack type.
 #pragma once
 
 #include <functional>

@@ -126,16 +126,6 @@ private:
     std::vector<std::unique_ptr<ReclaimerSpec>> specs_;
 };
 
-// The six competitors of Figure 2/3 as Table columns, legend order —
-// derived from the registry, not a hand-kept list.
-inline std::vector<std::string> algorithm_columns() {
-    std::vector<std::string> columns;
-    for (const AlgoSpec* a : AlgorithmRegistry::instance().default_set()) {
-        columns.push_back(a->name);
-    }
-    return columns;
-}
-
 // Shared per-scenario state plus the Table/CSV/selection pipeline every
 // scenario composes.
 struct ScenarioContext {

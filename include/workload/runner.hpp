@@ -1,25 +1,26 @@
-// workload/runner.hpp — the timed-window throughput harness every bench
-// shares, split into reusable phases:
+// workload/runner.hpp — the phases every closed-loop and open-loop bench
+// composes:
 //
-//   phase_prefill      load a worker's share of the initial population
-//   phase_mixed_until  the measured mixed-op loop (runs until `stop`)
-//   phase_mixed_ops    a fixed-op-count mixed loop (churn / micro timing)
-//   phase_timed_until  the mixed loop with per-op latency recording
+//   phase_prefill        load a worker's share of the initial population
+//   phase_mixed          the one mixed-op loop: until a stop flag
+//                        (StopFlag), for a fixed op count (OpCount), and
+//                        timed per op when handed a histogram
+//   phase_serve_produce  replay an open-loop arrival schedule
+//   phase_serve_consume  serve it, charging each request's sojourn
 //
-// Scenarios compose phases (e.g. a pop-only drain after a push-only fill)
-// instead of re-writing the monolithic worker lambda. The same templates
-// back both the statically-typed run_throughput below and the type-erased
-// AnyStack path (StackModel): the hot loop is instantiated against the
-// concrete stack type either way, so the erased path pays virtual dispatch
-// only at phase boundaries — never per op. `secbench micro` measures the
-// two paths side by side to keep that property honest.
+// StackModel instantiates each phase against the concrete stack type and
+// erases it behind one AnyStack virtual call, so the erased runners
+// (workload/any_runner.hpp) pay virtual dispatch only at phase boundaries —
+// never per op. `secbench micro` times a phase called directly against the
+// same phase behind AnyStack to keep that property honest.
 #pragma once
 
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <thread>
-#include <vector>
+#include <type_traits>
 
 #include "core/common.hpp"
 #include "core/op_mix.hpp"
@@ -32,8 +33,8 @@ namespace sec::bench {
 struct RunConfig {
     // Worker count. Precondition: threads >= 1 — the harness divides the
     // prefill across workers and has no one to run it (or the measured
-    // window) otherwise. run_throughput returns an all-zero RunResult for
-    // threads == 0 instead of dividing by zero.
+    // window) otherwise. run_throughput_any returns an all-zero RunResult
+    // for threads == 0 instead of dividing by zero.
     unsigned threads = 1;
     std::chrono::milliseconds duration{200};
     std::size_t prefill = 0;
@@ -72,39 +73,49 @@ inline std::size_t prefill_share(std::size_t prefill, unsigned threads,
     return share;
 }
 
-// ---- reclamation hooks -----------------------------------------------------
-
-// The hook templates themselves moved to exec/worker_pool.hpp (the worker
-// lifecycle layer owns the contract); these aliases keep every phase_*
-// call site spelled the same.
-namespace detail {
-using sec::exec::offline_hook;
-using sec::exec::quiesce_hook;
-}  // namespace detail
-
 // ---- the phases ------------------------------------------------------------
 
 template <ConcurrentContainer S>
 void phase_prefill(S& stack, std::size_t count, const PhaseArgs& args) {
     Xoshiro256 rng(args.seed);
     for (std::size_t i = 0; i < count; ++i) {
-        detail::quiesce_hook(stack);
+        exec::quiesce_hook(stack);
         stack.push(static_cast<typename S::value_type>(
             rng.next_below(args.value_range)));
     }
-    detail::offline_hook(stack);
+    exec::offline_hook(stack);
 }
 
-template <ConcurrentContainer S>
-std::uint64_t phase_mixed_until(S& stack, const std::atomic<bool>& stop,
-                                const PhaseArgs& args) {
+// How a mixed loop ends: once `stop` is raised (the timed windows), or
+// after `count` ops (churn, micro timing).
+struct StopFlag {
+    const std::atomic<bool>& stop;
+    bool operator()(std::uint64_t) const {
+        return stop.load(std::memory_order_relaxed);
+    }
+};
+struct OpCount {
+    std::uint64_t count;
+    bool operator()(std::uint64_t done) const { return done >= count; }
+};
+
+// The mixed-op loop behind every mixed phase: each op is drawn from
+// args.mix until `done` says stop; returns the ops run. Handed a
+// histogram, it times every op into it; otherwise it reads no clock.
+template <ConcurrentContainer S, class Done, class Hist = std::nullptr_t>
+std::uint64_t phase_mixed(S& stack, const PhaseArgs& args, Done done,
+                          Hist hist = nullptr) {
+    using Clock = std::chrono::steady_clock;
+    constexpr bool kTimed = !std::is_null_pointer_v<Hist>;
     Xoshiro256 rng(args.seed);
     const unsigned push_cut = args.mix.push_pct;
     const unsigned pop_cut = args.mix.update_pct();
-    std::uint64_t local = 0;
-    while (!stop.load(std::memory_order_relaxed)) {
-        detail::quiesce_hook(stack);
+    std::uint64_t ops = 0;
+    while (!done(ops)) {
+        exec::quiesce_hook(stack);
         const std::uint64_t r = rng.next_below(100);
+        [[maybe_unused]] Clock::time_point t0;
+        if constexpr (kTimed) t0 = Clock::now();
         if (r < push_cut) {
             stack.push(static_cast<typename S::value_type>(
                 rng.next_below(args.value_range)));
@@ -113,32 +124,16 @@ std::uint64_t phase_mixed_until(S& stack, const std::atomic<bool>& stop,
         } else {
             (void)stack.peek();
         }
-        ++local;
-    }
-    detail::offline_hook(stack);
-    return local;
-}
-
-template <ConcurrentContainer S>
-std::uint64_t phase_mixed_ops(S& stack, std::uint64_t count,
-                              const PhaseArgs& args) {
-    Xoshiro256 rng(args.seed);
-    const unsigned push_cut = args.mix.push_pct;
-    const unsigned pop_cut = args.mix.update_pct();
-    for (std::uint64_t i = 0; i < count; ++i) {
-        detail::quiesce_hook(stack);
-        const std::uint64_t r = rng.next_below(100);
-        if (r < push_cut) {
-            stack.push(static_cast<typename S::value_type>(
-                rng.next_below(args.value_range)));
-        } else if (r < pop_cut) {
-            (void)stack.pop();
-        } else {
-            (void)stack.peek();
+        if constexpr (kTimed) {
+            hist->record(static_cast<std::uint64_t>(
+                std::chrono::duration_cast<std::chrono::nanoseconds>(
+                    Clock::now() - t0)
+                    .count()));
         }
+        ++ops;
     }
-    detail::offline_hook(stack);
-    return count;
+    exec::offline_hook(stack);
+    return ops;
 }
 
 // ---- open-loop service lanes (workload/service.hpp, DESIGN.md §9) ----------
@@ -153,7 +148,7 @@ template <ConcurrentContainer S>
 std::uint64_t phase_serve_produce(S& stack, const ServeProduceArgs& a) {
     using Clock = std::chrono::steady_clock;
     for (std::size_t i = 0; i < a.count; ++i) {
-        detail::quiesce_hook(stack);
+        exec::quiesce_hook(stack);
         const auto due = a.epoch + std::chrono::nanoseconds(a.schedule[i]);
         for (;;) {
             const auto now = Clock::now();
@@ -167,11 +162,11 @@ std::uint64_t phase_serve_produce(S& stack, const ServeProduceArgs& a) {
             }
             // QSBR lanes must keep announcing quiescence while idle between
             // arrivals, or a sleeping producer stalls every grace period.
-            detail::quiesce_hook(stack);
+            exec::quiesce_hook(stack);
         }
         stack.push(static_cast<typename S::value_type>(a.schedule[i]));
     }
-    detail::offline_hook(stack);
+    exec::offline_hook(stack);
     return a.count;
 }
 
@@ -191,7 +186,7 @@ std::uint64_t phase_serve_consume(S& stack, const std::atomic<bool>& stop,
     bool stalled = false;
     sec::detail::Backoff backoff;
     for (;;) {
-        detail::quiesce_hook(stack);
+        exec::quiesce_hook(stack);
         if (!stalled && a.stall_ns != 0 && done >= a.stall_after_op) {
             stalled = true;
             sec::detail::spin_for_ns(a.stall_ns);
@@ -221,37 +216,8 @@ std::uint64_t phase_serve_consume(S& stack, const std::atomic<bool>& stop,
             backoff.pause();
         }
     }
-    detail::offline_hook(stack);
+    exec::offline_hook(stack);
     return done;
-}
-
-template <ConcurrentContainer S>
-std::uint64_t phase_timed_until(S& stack, const std::atomic<bool>& stop,
-                                const PhaseArgs& args, LatencyHistogram& hist) {
-    Xoshiro256 rng(args.seed);
-    const unsigned push_cut = args.mix.push_pct;
-    const unsigned pop_cut = args.mix.update_pct();
-    std::uint64_t local = 0;
-    while (!stop.load(std::memory_order_relaxed)) {
-        detail::quiesce_hook(stack);
-        const std::uint64_t r = rng.next_below(100);
-        const auto t0 = std::chrono::steady_clock::now();
-        if (r < push_cut) {
-            stack.push(static_cast<typename S::value_type>(
-                rng.next_below(args.value_range)));
-        } else if (r < pop_cut) {
-            (void)stack.pop();
-        } else {
-            (void)stack.peek();
-        }
-        const auto t1 = std::chrono::steady_clock::now();
-        hist.record(static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
-                .count()));
-        ++local;
-    }
-    detail::offline_hook(stack);
-    return local;
 }
 
 // ---- type erasure over the phases ------------------------------------------
@@ -285,16 +251,16 @@ public:
     }
     std::uint64_t mixed_until(const std::atomic<bool>& stop,
                               const PhaseArgs& args) override {
-        return phase_mixed_until(*stack_, stop, args);
+        return phase_mixed(*stack_, args, StopFlag{stop});
     }
     std::uint64_t mixed_ops(std::uint64_t count,
                             const PhaseArgs& args) override {
-        return phase_mixed_ops(*stack_, count, args);
+        return phase_mixed(*stack_, args, OpCount{count});
     }
     std::uint64_t timed_until(const std::atomic<bool>& stop,
                               const PhaseArgs& args,
                               LatencyHistogram& hist) override {
-        return phase_timed_until(*stack_, stop, args, hist);
+        return phase_mixed(*stack_, args, StopFlag{stop}, &hist);
     }
     std::uint64_t serve_produce(const ServeProduceArgs& args) override {
         return phase_serve_produce(*stack_, args);
@@ -359,77 +325,6 @@ inline std::uint64_t phase_seed(std::uint64_t base, unsigned t, unsigned run,
                                 std::uint64_t salt = 0) {
     return (base + t + 1) * 0x9E3779B97F4A7C15ull + run + (salt << 32) +
            seed_stream() * 0xD1B54A32D192ED03ull;
-}
-
-// ---- the statically-typed timed-window runner ------------------------------
-
-// `make()` may return a smart pointer (fresh structure per run) or a raw
-// pointer (caller keeps the structure alive, e.g. to read stats afterwards).
-template <class Factory>
-RunResult run_throughput(Factory&& make, const RunConfig& cfg) {
-    using Clock = std::chrono::steady_clock;
-    RunResult result;
-    if (cfg.threads == 0) return result;  // see RunConfig::threads
-    for (unsigned run = 0; run < cfg.runs; ++run) {
-        auto holder = make();
-        auto& stack = *holder;
-
-        std::atomic<bool> stop{false};
-        std::vector<CacheAligned<std::uint64_t>> ops(cfg.threads);
-        // Workers time their own measured span (one_phased_round /
-        // run_churn_any's trick): ops completed between the coordinator's
-        // stop store and the worker's exit are real work, and charging them
-        // against the coordinator's sleep window — which excludes that
-        // overshoot — used to inflate short-window results by a scheduling-
-        // dependent amount.
-        std::vector<CacheAligned<Clock::time_point>> begins(cfg.threads);
-        std::vector<CacheAligned<Clock::time_point>> ends(cfg.threads);
-
-        exec::PoolOptions popts;
-        popts.pin = cfg.pin;
-        popts.counters = cfg.counters;
-        exec::WorkerPool pool(cfg.threads, popts);
-        pool.start([&, run](exec::WorkerContext& wc) {
-            const unsigned t = wc.index;
-            PhaseArgs args;
-            args.value_range = cfg.value_range;
-            args.mix = cfg.mix;
-            // Each worker loads its share of the prefill so deep
-            // prefills parallelise and (for TSI) spread across pools.
-            args.seed = phase_seed(cfg.seed, t, run, 1);
-            phase_prefill(stack, prefill_share(cfg.prefill, cfg.threads, t),
-                          args);
-            wc.sync();
-            // Counters cover the measured span only, not the prefill.
-            wc.counters_restart();
-            *begins[t] = Clock::now();
-            args.seed = phase_seed(cfg.seed, t, run);
-            *ops[t] = phase_mixed_until(stack, stop, args);
-            *ends[t] = Clock::now();
-        });
-
-        pool.sync();
-        std::this_thread::sleep_for(cfg.duration);
-        stop.store(true, std::memory_order_relaxed);
-        pool.join();
-        result.perf.merge(pool.counters());
-
-        std::uint64_t total = 0;
-        for (const auto& c : ops) total += *c;
-        Clock::time_point start = *begins[0];
-        Clock::time_point end = *ends[0];
-        for (unsigned t = 1; t < cfg.threads; ++t) {
-            if (*begins[t] < start) start = *begins[t];
-            if (*ends[t] > end) end = *ends[t];
-        }
-        const double us = std::chrono::duration<double, std::micro>(
-                              end - start)
-                              .count();
-        result.total_ops += total;
-        result.mops += us > 0 ? static_cast<double>(total) / us : 0.0;
-    }
-    result.mops /= cfg.runs;
-    return result;
 }
 
 }  // namespace sec::bench

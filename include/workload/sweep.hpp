@@ -1,8 +1,9 @@
-// workload/sweep.hpp — the secbench parameter-sweep engine: cross-product
-// runs over the SEC tuning knobs (aggregator count x freezer backoff),
-// emitting long-form CSV so the paper's tuning surfaces (§6/Figure 4 and
-// the §3.1 backoff sweet spot) can be regenerated on any machine and fed
-// back into static Configs (DESIGN.md §5).
+// workload/sweep.hpp — the SEC sweep engine: run_sweep measures a list of
+// (column, aggregator count, freezer backoff) points over the thread grid.
+// `fig4`, `ablation_backoff` and the --sweep cross-product are its point
+// lists, so the paper's tuning surfaces (§6/Figure 4 and the §3.1 backoff
+// sweet spot) can be regenerated on any machine and fed back into static
+// Configs (DESIGN.md §5).
 //
 //   secbench sweep --sweep agg=1:5,backoff=0:4096
 //   secbench --sweep agg=1:2,backoff=0:256 --smoke --csv sweep.csv
@@ -50,13 +51,27 @@ struct SweepSpec {
     }
 };
 
-// Run the cross-product over the context's thread grid and selection: each
-// (agg, backoff) combination becomes a Table column "agg<A>_bo<B>" measured
-// with the update-heavy mix (where tuning matters most). Uses the SEC
-// variant of the current selection when one is selected, plain SEC
-// otherwise. Prints the table, appends long-form CSV to the context's sink,
-// and reports the per-thread-count argmax so README's "choosing
-// num_aggregators" guidance can cite real output.
-int run_sweep(const ScenarioContext& ctx, const SweepSpec& spec);
+// One column of a sweep: the SEC configuration it runs.
+struct SweepPoint {
+    std::string column;
+    std::size_t aggs = 0;         // Config::num_aggregators
+    std::uint64_t backoff_ns = 0;  // Config::freezer_backoff_ns
+};
+
+struct SweepPlan {
+    std::string table;
+    const AlgoSpec* algo = nullptr;  // SEC or one of its reclaimer variants
+    OpMix mix = kUpdateHeavy;
+    std::vector<SweepPoint> points;
+    // Build each structure with Config::collect_stats, keep it across the
+    // point's runs, and print its batching and elimination degrees.
+    bool collect_stats = false;
+};
+
+// Run every point of `plan` at every thread count of ctx.env (points
+// outer, threads inner), each configuration on ctx's run settings, and
+// emit the table through ctx. Returns the table for callers that
+// summarise it.
+Table run_sweep(const ScenarioContext& ctx, const SweepPlan& plan);
 
 }  // namespace sec::bench

@@ -1,31 +1,32 @@
 // net_client.cpp — the loopback client driver (net/client.hpp).
 //
-// Per connection: one sender thread pacing a deterministic arrival
-// schedule (workload/service.hpp; lane seed phase_seed(seed, lane, 0, 4) —
-// salt 4 keeps the wire lanes' streams disjoint from the in-process
-// service lanes' salt 3) and one receiver thread charging replies. The
-// sender stamps every frame's tag with the request's schedule index; the
-// receiver resolves the tag back to the scheduled arrival (sojourn) and to
-// the atomically-published actual send time (RTT). All cross-thread state —
-// send timestamps, per-lane counters — is atomic, so the driver is clean
-// under TSan (tests/net_loopback_test.cpp runs under it in CI).
+// One paced loop on the calling thread drives every connection over a
+// non-blocking socket. Connection c replays its own arrival schedule
+// (workload/service.hpp; seed phase_seed(seed, c, 0, 4), salt 4 keeping the
+// wire lanes disjoint from the in-process lanes' salt 3), and each frame's
+// tag is the request's schedule index, which the reply echoes. Each pass
+// sends every due request and decodes every ready reply. Between passes the
+// loop spins while a send is due within kSpinMarginNs, and otherwise blocks
+// in one ppoll over all the sockets, which a reply also ends. A sleep can
+// wake up to the timer slack late, and that lateness would be billed to the
+// server as sojourn.
 #include "net/client.hpp"
 
-#include <atomic>
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
-#include <memory>
-#include <thread>
+#include <limits>
 #include <vector>
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include "core/common.hpp"
-#include "exec/worker_pool.hpp"
 #include "net/protocol.hpp"
 #include "workload/runner.hpp"
 
@@ -33,6 +34,13 @@ namespace sec::net {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+// The loop spins when a send is due within this margin, which covers the
+// default 50 µs timer slack of a sleep with room to spare.
+constexpr std::uint64_t kSpinMarginNs = 200'000;
+// Replies still outstanding this long after the last send are lost.
+constexpr std::uint64_t kDrainGraceNs = 5'000'000'000;
+constexpr unsigned kPushPct = 50;  // the rest are pops
 
 int connect_to(const std::string& host, std::uint16_t port,
                std::string* err) {
@@ -57,48 +65,21 @@ int connect_to(const std::string& host, std::uint16_t port,
     }
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    // Bound receiver reads so the drain-grace deadline is checked even when
-    // the server goes silent.
-    timeval tv{};
-    tv.tv_usec = 50 * 1000;
-    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+    ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL, 0) | O_NONBLOCK);
     return fd;
 }
 
-bool write_all(int fd, const std::uint8_t* data, std::size_t len) {
-    while (len > 0) {
-        // MSG_NOSIGNAL: a server-side drop mid-run must read as a failed
-        // send (lost replies in the result), not SIGPIPE for the process.
-        const ssize_t n = ::send(fd, data, len, MSG_NOSIGNAL);
-        if (n < 0) {
-            if (errno == EINTR) continue;
-            return false;
-        }
-        data += n;
-        len -= static_cast<std::size_t>(n);
-    }
-    return true;
-}
-
-// State shared between one connection's sender and receiver.
 struct Lane {
     int fd = -1;
+    bool open = true;  // false once the socket failed, closed or desynced
     std::vector<std::uint64_t> schedule;  // ns offsets from epoch
     std::vector<MsgType> kinds;           // kPushReq / kPopReq per index
-    // Actual send time (ns since epoch), published by the sender, read by
-    // the receiver for the RTT histogram. 0 = not sent yet.
-    std::unique_ptr<std::atomic<std::uint64_t>[]> send_ns;
-    std::atomic<std::uint64_t> sent{0};
-    std::atomic<bool> sender_done{false};
-    std::atomic<std::uint64_t> sender_done_ns{0};  // since epoch
-
-    // Receiver-owned results (read by the main thread after join).
+    std::vector<std::uint64_t> send_ns;   // actual send, ns since epoch
+    std::size_t next = 0;                 // requests sent so far
     std::uint64_t replies = 0;
-    std::uint64_t pop_hits = 0;
-    std::uint64_t pop_empties = 0;
-    std::uint64_t last_reply_ns = 0;  // since epoch
-    bench::LatencyHistogram sojourn;
-    bench::LatencyHistogram rtt;
+    std::vector<std::uint8_t> out;  // frames not yet taken by the socket
+    std::size_t out_off = 0;        // ...from here on
+    std::vector<std::uint8_t> in;   // received bytes not yet decoded
 };
 
 std::uint64_t since(Clock::time_point epoch) {
@@ -108,83 +89,65 @@ std::uint64_t since(Clock::time_point epoch) {
             .count());
 }
 
-void sender_main(Lane& lane, Clock::time_point epoch) {
-    std::vector<std::uint8_t> frame;
-    for (std::size_t i = 0; i < lane.schedule.size(); ++i) {
-        std::this_thread::sleep_until(
-            epoch + std::chrono::nanoseconds(lane.schedule[i]));
+// Encode every request due by `now` and send what the socket takes. False
+// when the connection failed.
+bool send_due(Lane& lane, std::uint64_t now) {
+    for (; lane.next < lane.schedule.size() &&
+           lane.schedule[lane.next] <= now;
+         ++lane.next) {
         Message req;
-        req.type = lane.kinds[i];
-        req.tag = i;
-        req.value = i + 1;  // nonzero payload; identity lives in the tag
-        frame.clear();
-        encode(req, frame);
-        lane.send_ns[i].store(since(epoch), std::memory_order_release);
-        if (!write_all(lane.fd, frame.data(), frame.size())) break;
-        lane.sent.fetch_add(1, std::memory_order_release);
+        req.type = lane.kinds[lane.next];
+        req.tag = lane.next;
+        req.value = lane.next + 1;  // nonzero payload; identity is the tag
+        encode(req, lane.out);
+        lane.send_ns[lane.next] = now;
     }
-    lane.sender_done_ns.store(since(epoch), std::memory_order_release);
-    lane.sender_done.store(true, std::memory_order_release);
+    while (lane.out_off < lane.out.size()) {
+        // MSG_NOSIGNAL: a server that drops the connection must cost lost
+        // replies, not SIGPIPE.
+        const ssize_t n = ::send(lane.fd, lane.out.data() + lane.out_off,
+                                 lane.out.size() - lane.out_off, MSG_NOSIGNAL);
+        if (n < 0) return errno == EINTR || errno == EAGAIN;
+        lane.out_off += static_cast<std::size_t>(n);
+    }
+    lane.out.clear();
+    lane.out_off = 0;
+    return true;
 }
 
-void receiver_main(Lane& lane, Clock::time_point epoch,
-                   std::chrono::milliseconds grace) {
-    std::vector<std::uint8_t> buf;
+// Read and charge every reply the socket holds. False when the server
+// closed the connection, the read failed, or a frame did not decode.
+bool read_replies(Lane& lane, Clock::time_point epoch,
+                  LoopbackClientResult& res, std::uint64_t& last_reply_ns) {
     std::uint8_t chunk[16 * 1024];
-    const std::uint64_t grace_ns =
-        static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(grace)
-                .count());
     for (;;) {
-        // done is loaded BEFORE sent: the sender publishes its final sent
-        // count before setting done, so done=true (acquire) guarantees the
-        // subsequent sent load sees the final count. The reverse order could
-        // pair a stale sent with done=true and under-count outstanding
-        // replies, mis-reporting them as lost.
-        const bool done = lane.sender_done.load(std::memory_order_acquire);
-        const std::uint64_t sent = lane.sent.load(std::memory_order_acquire);
-        if (done && lane.replies >= sent) break;  // every reply charged
-        if (done) {
-            const std::uint64_t done_ns =
-                lane.sender_done_ns.load(std::memory_order_acquire);
-            if (since(epoch) > done_ns + grace_ns) break;  // lost replies
-        }
         const ssize_t n = ::read(lane.fd, chunk, sizeof(chunk));
-        if (n == 0) break;  // server closed
-        if (n < 0) {
-            if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) {
-                continue;  // SO_RCVTIMEO tick: re-check the deadline
-            }
-            break;
-        }
-        buf.insert(buf.end(), chunk, chunk + n);
+        if (n == 0) return false;
+        if (n < 0) return errno == EINTR || errno == EAGAIN;
+        const std::uint64_t now = since(epoch);
+        lane.in.insert(lane.in.end(), chunk, chunk + n);
         std::size_t off = 0;
-        while (off < buf.size()) {
-            Message resp;
-            const DecodeResult r =
-                decode(buf.data() + off, buf.size() - off, resp);
-            if (r.status == DecodeStatus::kNeedMore) break;
-            if (r.status == DecodeStatus::kError) return;  // desync: bail
+        Message resp;
+        DecodeResult r;
+        while ((r = decode(lane.in.data() + off, lane.in.size() - off, resp))
+                   .status == DecodeStatus::kOk) {
             off += r.consumed;
-            const std::uint64_t now_ns = since(epoch);
             const std::uint64_t idx = resp.tag;
-            if (idx >= lane.schedule.size()) continue;  // unknown tag
+            if (idx >= lane.next) continue;  // never sent: unknown tag
             ++lane.replies;
-            lane.last_reply_ns = now_ns;
+            ++res.replies;
+            last_reply_ns = now;
             const std::uint64_t sched = lane.schedule[idx];
-            lane.sojourn.record(now_ns > sched ? now_ns - sched : 0);
-            const std::uint64_t sent_at =
-                lane.send_ns[idx].load(std::memory_order_acquire);
-            lane.rtt.record(now_ns > sent_at ? now_ns - sent_at : 0);
+            res.sojourn.record(now > sched ? now - sched : 0);
+            const std::uint64_t sent_at = lane.send_ns[idx];
+            res.rtt.record(now > sent_at ? now - sent_at : 0);
             if (resp.type == MsgType::kPopResp) {
-                if (resp.ok) {
-                    ++lane.pop_hits;
-                } else {
-                    ++lane.pop_empties;
-                }
+                ++(resp.ok ? res.pop_hits : res.pop_empties);
             }
         }
-        if (off > 0) buf.erase(buf.begin(), buf.begin() + off);
+        if (r.status == DecodeStatus::kError) return false;
+        lane.in.erase(lane.in.begin(),
+                      lane.in.begin() + static_cast<std::ptrdiff_t>(off));
     }
 }
 
@@ -207,69 +170,76 @@ LoopbackClientResult run_loopback_client(const LoopbackClientConfig& cfg) {
     svc.load_kops = cfg.load_kops;
     svc.duration = cfg.duration;
     svc.arrival = cfg.arrival;
-    svc.burst_period = cfg.burst_period;
-    svc.burst_duty = cfg.burst_duty;
     svc.seed = cfg.seed;
     const double lane_ops_s =
         cfg.load_kops * 1000.0 / static_cast<double>(cfg.connections);
 
-    std::vector<std::unique_ptr<Lane>> lanes;
+    std::vector<Lane> lanes(cfg.connections);
     for (unsigned c = 0; c < cfg.connections; ++c) {
-        auto lane = std::make_unique<Lane>();
-        lane->fd = connect_to(cfg.host, cfg.port, &res.error);
-        if (lane->fd < 0) {
-            for (auto& l : lanes) ::close(l->fd);
+        Lane& lane = lanes[c];
+        lane.fd = connect_to(cfg.host, cfg.port, &res.error);
+        if (lane.fd < 0) {
+            for (unsigned k = 0; k < c; ++k) ::close(lanes[k].fd);
             return res;
         }
-        lane->schedule = bench::make_arrival_schedule(
+        lane.schedule = bench::make_arrival_schedule(
             svc, lane_ops_s, bench::phase_seed(cfg.seed, c, 0, 4));
-        lane->kinds.reserve(lane->schedule.size());
         Xoshiro256 rng(bench::phase_seed(cfg.seed, c, 0, 5));
-        for (std::size_t i = 0; i < lane->schedule.size(); ++i) {
-            const bool push = rng.next_below(100) < cfg.push_pct;
-            lane->kinds.push_back(push ? MsgType::kPushReq
-                                       : MsgType::kPopReq);
+        for (std::size_t i = 0; i < lane.schedule.size(); ++i) {
+            const bool push = rng.next_below(100) < kPushPct;
+            lane.kinds.push_back(push ? MsgType::kPushReq : MsgType::kPopReq);
             if (push) ++res.pushes;
         }
-        lane->send_ns = std::make_unique<std::atomic<std::uint64_t>[]>(
-            lane->schedule.size());
-        for (std::size_t i = 0; i < lane->schedule.size(); ++i) {
-            lane->send_ns[i].store(0, std::memory_order_relaxed);
-        }
-        res.sent += lane->schedule.size();
-        lanes.push_back(std::move(lane));
+        lane.send_ns.assign(lane.schedule.size(), 0);
+        res.sent += lane.schedule.size();
     }
 
     // One epoch for every lane, taken after all sockets are connected so no
     // lane starts its schedule while another is still in connect().
-    const Clock::time_point epoch = Clock::now() + std::chrono::milliseconds(5);
-
-    // One pool worker per lane endpoint: even indices send, odd indices
-    // receive, so lane i's pair sits at slots 2i / 2i+1.
-    exec::WorkerPool::run(
-        static_cast<unsigned>(lanes.size() * 2),
-        [&lanes, epoch, grace = cfg.drain_grace](exec::WorkerContext& wc) {
-            Lane& lane = *lanes[wc.index / 2];
-            if (wc.index % 2 == 0) {
-                sender_main(lane, epoch);
-            } else {
-                receiver_main(lane, epoch, grace);
-            }
-        });
-
+    const Clock::time_point epoch = Clock::now();
+    std::vector<pollfd> fds(lanes.size());
     std::uint64_t last_reply_ns = 0;
-    for (auto& lane : lanes) {
-        res.replies += lane->replies;
-        res.pop_hits += lane->pop_hits;
-        res.pop_empties += lane->pop_empties;
-        res.sojourn.merge_from(lane->sojourn);
-        res.rtt.merge_from(lane->rtt);
-        if (lane->last_reply_ns > last_reply_ns) {
-            last_reply_ns = lane->last_reply_ns;
+    std::uint64_t drain_deadline = 0;  // set once every request is sent
+    for (;;) {
+        std::uint64_t now = 0;
+        std::uint64_t next_due = std::numeric_limits<std::uint64_t>::max();
+        bool waiting = false;
+        for (std::size_t i = 0; i < lanes.size(); ++i) {
+            Lane& lane = lanes[i];
+            now = since(epoch);
+            if (lane.open && !send_due(lane, now)) lane.open = false;
+            if (lane.open && lane.next < lane.schedule.size()) {
+                next_due = std::min(next_due, lane.schedule[lane.next]);
+            }
+            waiting = waiting || (lane.open && lane.replies < lane.next);
+            const int events = lane.out.empty() ? POLLIN : POLLIN | POLLOUT;
+            fds[i] = {lane.open ? lane.fd : -1, static_cast<short>(events), 0};
         }
-        ::close(lane->fd);
+        // Spin (wait 0) while a send is due within the margin; otherwise
+        // sleep until the margin before it, or until the drain deadline.
+        std::uint64_t wait_ns = 0;
+        if (next_due == std::numeric_limits<std::uint64_t>::max()) {
+            if (!waiting) break;  // every sent request has its reply
+            if (drain_deadline == 0) drain_deadline = now + kDrainGraceNs;
+            if (now >= drain_deadline) break;  // the rest are lost
+            wait_ns = drain_deadline - now;
+        } else if (next_due > now + kSpinMarginNs) {
+            wait_ns = next_due - kSpinMarginNs - now;
+        }
+        const timespec timeout{static_cast<time_t>(wait_ns / 1'000'000'000),
+                               static_cast<long>(wait_ns % 1'000'000'000)};
+        if (::ppoll(fds.data(), fds.size(), &timeout, nullptr) <= 0) continue;
+        for (std::size_t i = 0; i < lanes.size(); ++i) {
+            if (lanes[i].open && (fds[i].revents & ~POLLOUT) != 0 &&
+                !read_replies(lanes[i], epoch, res, last_reply_ns)) {
+                lanes[i].open = false;
+            }
+        }
     }
-    // A send that failed mid-write still counts as lost: it was scheduled.
+    for (const Lane& lane : lanes) ::close(lane.fd);
+
+    // A request that was scheduled but never answered — its connection
+    // failed, or the grace expired — counts as lost.
     res.lost = res.sent - res.replies;
     res.window_s = static_cast<double>(last_reply_ns) / 1e9;
     const double horizon_s =

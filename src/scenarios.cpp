@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -53,7 +54,7 @@ int fig2(const ScenarioContext& ctx) {
 int queue(const ScenarioContext& ctx) {
     // Run on the FIFO members of the current selection. When the caller left
     // the (all-lifo) Figure-2 default set in place — `secbench all`, plain
-    // `--scenario queue` — fall back to the queue trio; an explicitly
+    // `secbench queue` — fall back to the queue trio; an explicitly
     // shape-mixed --algos set never gets this far (the driver rejects it).
     std::vector<const AlgoSpec*> fifo;
     for (const AlgoSpec* a : ctx.algos) {
@@ -105,49 +106,27 @@ int fig3(const ScenarioContext& ctx) {
 
 // ---- fig4: EXP3 — SEC self-comparison with 1..5 aggregators ----------------
 
-void fig4_series(const ScenarioContext& ctx, Table& table, const OpMix& mix,
-                 const EnvConfig& env, const AlgoSpec& sec_algo) {
-    for (std::size_t aggs = 1; aggs <= kMaxAggregators; ++aggs) {
-        const std::string column = "SEC_Agg" + std::to_string(aggs);
-        for (unsigned t : env.threads) {
-            Config cfg = effective_stack_config({.threads = t});
-            cfg.num_aggregators = std::min<std::size_t>(aggs, cfg.max_threads);
-            StackParams params;
-            params.threads = t;
-            params.config = &cfg;
-            const RunResult r = run_throughput_any(
-                [&] { return sec_algo.make(params); },
-                ctx.run_config(t, mix, env));
-            table.add(t, column, r.mops);
-            progress_line(column, t, r.mops);
-        }
-    }
-}
-
 int fig4(const ScenarioContext& ctx) {
-    const AlgoSpec& sec_algo = *AlgorithmRegistry::instance().find("SEC");
-    std::vector<std::string> columns;
+    SweepPlan plan;
+    plan.algo = AlgorithmRegistry::instance().find("SEC");
     for (std::size_t a = 1; a <= kMaxAggregators; ++a) {
-        columns.push_back("SEC_Agg" + std::to_string(a));
+        plan.points.push_back(
+            {"SEC_Agg" + std::to_string(a), a, Config{}.freezer_backoff_ns});
     }
+    const auto slice = [&plan](const ScenarioContext& c, std::string table,
+                               const OpMix& mix, const char* label) {
+        std::fprintf(stderr, "workload %s\n", label);
+        plan.table = std::move(table);
+        plan.mix = mix;
+        (void)run_sweep(c, plan);
+    };
     for (const OpMix& mix : kStandardMixes) {
-        Table table(std::string("fig4_") + std::string(mix.name), columns);
-        std::fprintf(stderr, "workload %s\n", mix.name.data());
-        fig4_series(ctx, table, mix, ctx.env, sec_algo);
-        ctx.emit(table);
+        slice(ctx, "fig4_" + std::string(mix.name), mix, mix.name.data());
     }
-    {
-        Table table("fig4_push_only", columns);
-        std::fprintf(stderr, "workload push-only\n");
-        fig4_series(ctx, table, kPushOnly, ctx.env, sec_algo);
-        ctx.emit(table);
-    }
-    {
-        Table table("fig4_pop_only", columns);
-        std::fprintf(stderr, "workload pop-only\n");
-        fig4_series(ctx, table, kPopOnly, with_pop_prefill(ctx.env), sec_algo);
-        ctx.emit(table);
-    }
+    slice(ctx, "fig4_push_only", kPushOnly, "push-only");
+    ScenarioContext pop_ctx = ctx;
+    pop_ctx.env = with_pop_prefill(ctx.env);
+    slice(pop_ctx, "fig4_pop_only", kPopOnly, "pop-only");
     return 0;
 }
 
@@ -391,39 +370,60 @@ int sweep(const ScenarioContext& ctx) {
         std::fprintf(stderr, "secbench: %s\n", error.c_str());
         return 2;
     }
-    return run_sweep(ctx, *spec);
+    // Sweep the SEC family: the variant from the current selection when one
+    // was selected (so --reclaim hp sweeps SEC@hp), plain SEC otherwise.
+    SweepPlan plan;
+    plan.table = "sweep";
+    plan.algo = AlgorithmRegistry::instance().find("SEC");
+    for (const AlgoSpec* a : ctx.algos) {
+        if (a->base == "SEC") {
+            plan.algo = a;
+            break;
+        }
+    }
+    std::fprintf(stderr,
+                 "sweep: %zu combinations (%zu agg x %zu backoff) x %zu "
+                 "thread counts, algorithm %s, upd100 mix\n",
+                 spec->combinations(), spec->aggs.size(),
+                 spec->backoffs.size(), ctx.env.threads.size(),
+                 plan.algo->name.c_str());
+    for (const std::size_t aggs : spec->aggs) {
+        for (const std::uint64_t backoff : spec->backoffs) {
+            plan.points.push_back({"agg" + std::to_string(aggs) + "_bo" +
+                                       std::to_string(backoff),
+                                   aggs, backoff});
+        }
+    }
+    const Table table = run_sweep(ctx, plan);
+    // The argmax per thread count (the first column wins a tie), so
+    // README's "choosing num_aggregators" guidance can cite real output.
+    std::map<unsigned, std::pair<std::string, double>> best;
+    table.for_each_cell([&best](unsigned t, const std::string& column,
+                                double mops) {
+        const auto [it, fresh] = best.try_emplace(t, column, mops);
+        if (!fresh && mops > it->second.second) it->second = {column, mops};
+    });
+    for (const unsigned t : ctx.env.threads) {
+        const auto& [column, mops] = best[t];
+        std::printf("# sweep best @ t=%-4u %s (%.2f Mops/s)\n", t,
+                    column.c_str(), mops);
+        ctx.csv_row("sweep_best", std::to_string(t), column, mops);
+    }
+    return 0;
 }
 
 // ---- ablation_backoff: freezer backoff window sweep (DESIGN.md §6) ---------
 
 int ablation_backoff(const ScenarioContext& ctx) {
-    const AlgoSpec& sec_algo = *AlgorithmRegistry::instance().find("SEC");
-    constexpr std::uint64_t kWindowsNs[] = {0, 128, 256, 512, 1024, 4096};
-    std::vector<std::string> columns;
-    for (auto w : kWindowsNs) columns.push_back("bo" + std::to_string(w));
-
-    Table table("ablation_freezer_backoff_upd100", columns);
-    for (auto w : kWindowsNs) {
-        const std::string column = "bo" + std::to_string(w);
-        for (unsigned t : ctx.env.threads) {
-            Config cfg = effective_stack_config({.threads = t});
-            cfg.freezer_backoff_ns = w;
-            cfg.collect_stats = true;
-            StackParams params;
-            params.threads = t;
-            params.config = &cfg;
-            AnyStack stack = sec_algo.make(params);
-            const RunResult r =
-                run_throughput_any(stack, ctx.run_config(t, kUpdateHeavy));
-            table.add(t, column, r.mops);
-            const StatsSnapshot s = stack.stats();
-            std::fprintf(
-                stderr, "  bo=%-5llu t=%-4u %8.2f Mops/s batch=%.1f elim=%.0f%%\n",
-                static_cast<unsigned long long>(w), t, r.mops,
-                s.batching_degree(), s.elimination_pct());
-        }
+    SweepPlan plan;
+    plan.table = "ablation_freezer_backoff_upd100";
+    plan.algo = AlgorithmRegistry::instance().find("SEC");
+    plan.collect_stats = true;
+    for (const std::uint64_t w : {0, 128, 256, 512, 1024, 4096}) {
+        plan.points.push_back(
+            {"bo" + std::to_string(w), Config{}.num_aggregators, w});
     }
-    ctx.emit(table);
+    (void)run_sweep(ctx, plan);
     return 0;
 }
 
@@ -716,8 +716,8 @@ template <class S>
 double static_mixed_mops(std::uint64_t ops, const PhaseArgs& args) {
     auto stack = make_stack<S>(tid_bound(1));
     phase_prefill(*stack, 64, args);
-    return timed_mops(ops,
-                      [&] { (void)phase_mixed_ops(*stack, ops, args); });
+    return timed_mops(
+        ops, [&] { (void)phase_mixed(*stack, args, OpCount{ops}); });
 }
 
 double erased_mixed_mops(const AlgoSpec& algo, std::uint64_t ops,
@@ -730,7 +730,7 @@ double erased_mixed_mops(const AlgoSpec& algo, std::uint64_t ops,
 }
 
 // The statically-dispatched twin of each registered algorithm (the erased
-// path and this path share phase_mixed_ops, so any gap beyond noise would
+// path and this path share phase_mixed, so any gap beyond noise would
 // mean virtual dispatch leaked into the per-op loop).
 double static_twin_mops(std::string_view name, std::uint64_t ops,
                         const PhaseArgs& args) {
@@ -748,7 +748,7 @@ int micro(const ScenarioContext& ctx) {
         20'000, static_cast<std::uint64_t>(ctx.env.duration_ms) * 2000);
     std::printf(
         "# single-thread mixed-op cost over %llu ops; 'static' calls\n"
-        "# phase_mixed_ops<S> directly, 'erased' runs the same loop behind\n"
+        "# phase_mixed<S> directly, 'erased' runs the same loop behind\n"
         "# AnyStack's one-virtual-call phase boundary — the two must agree\n"
         "# within noise. ns/op = 1000 / Mops (the hot-path codegen pass's\n"
         "# per-op instruction-budget view, DESIGN.md §10)\n",

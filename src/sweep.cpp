@@ -1,5 +1,5 @@
-// sweep.cpp — SweepSpec parsing and the cross-product sweep engine behind
-// `secbench --sweep` (workload/sweep.hpp).
+// sweep.cpp — SweepSpec parsing and the sweep engine behind fig4,
+// ablation_backoff and `secbench --sweep` (workload/sweep.hpp).
 #include "workload/sweep.hpp"
 
 #include <algorithm>
@@ -178,81 +178,41 @@ std::optional<SweepSpec> SweepSpec::parse(std::string_view spec,
     return out;
 }
 
-int run_sweep(const ScenarioContext& ctx, const SweepSpec& spec) {
-    // Sweep the SEC family: the variant from the current selection when one
-    // was selected (so --reclaim hp sweeps SEC@hp), plain SEC otherwise.
-    const AlgoSpec* sec_algo = nullptr;
-    for (const AlgoSpec* a : ctx.algos) {
-        if (a->base == "SEC") {
-            sec_algo = a;
-            break;
-        }
-    }
-    if (sec_algo == nullptr) {
-        sec_algo = AlgorithmRegistry::instance().find("SEC");
-    }
-
+Table run_sweep(const ScenarioContext& ctx, const SweepPlan& plan) {
     std::vector<std::string> columns;
-    for (std::size_t a : spec.aggs) {
-        for (std::uint64_t b : spec.backoffs) {
-            columns.push_back("agg" + std::to_string(a) + "_bo" +
-                              std::to_string(b));
-        }
-    }
-    std::fprintf(stderr,
-                 "sweep: %zu combinations (%zu agg x %zu backoff) x %zu "
-                 "thread counts, algorithm %s, upd100 mix\n",
-                 spec.combinations(), spec.aggs.size(), spec.backoffs.size(),
-                 ctx.env.threads.size(), sec_algo->name.c_str());
-
-    Table table("sweep", columns);
-    // argmax per thread count, for the summary lines below.
-    std::vector<std::pair<std::string, double>> best(ctx.env.threads.size(),
-                                                     {"", -1.0});
-    std::size_t ci = 0;
-    for (std::size_t aggs : spec.aggs) {
-        // More aggregators than publication slots is a degenerate config
-        // (idle aggregators that only add freezer scan work); say what
-        // actually ran instead of silently mislabelling the column — once
-        // per (agg, thread count), not once per grid point.
+    for (const SweepPoint& p : plan.points) columns.push_back(p.column);
+    Table table(plan.table, columns);
+    for (const SweepPoint& p : plan.points) {
         for (const unsigned t : ctx.env.threads) {
-            const std::size_t bound = tid_bound(t);
-            if (aggs > bound) {
+            Config cfg = effective_stack_config({.threads = t});
+            cfg.num_aggregators = p.aggs;
+            cfg.freezer_backoff_ns = p.backoff_ns;
+            cfg.collect_stats = plan.collect_stats;
+            StackParams params;
+            params.threads = t;
+            params.config = &cfg;
+            const RunConfig rcfg = ctx.run_config(t, plan.mix);
+            double mops = 0;
+            if (plan.collect_stats) {
+                AnyStack stack = plan.algo->make(params);
+                mops = run_throughput_any(stack, rcfg).mops;
+                const StatsSnapshot s = stack.stats();
                 std::fprintf(stderr,
-                             "sweep: agg=%zu exceeds max_threads=%zu at "
-                             "t=%u; clamping to %zu\n",
-                             aggs, bound, t, bound);
+                             "  %-10s t=%-4u %8.2f Mops/s batch=%.1f "
+                             "elim=%.0f%%\n",
+                             p.column.c_str(), t, mops, s.batching_degree(),
+                             s.elimination_pct());
+            } else {
+                mops = run_throughput_any(
+                           [&] { return plan.algo->make(params); }, rcfg)
+                           .mops;
+                progress_line(p.column, t, mops);
             }
-        }
-        for (std::uint64_t backoff : spec.backoffs) {
-            const std::string& column = columns[ci++];
-            for (std::size_t ti = 0; ti < ctx.env.threads.size(); ++ti) {
-                const unsigned t = ctx.env.threads[ti];
-                Config cfg = effective_stack_config({.threads = t});
-                cfg.num_aggregators =
-                    std::min<std::size_t>(aggs, cfg.max_threads);
-                cfg.freezer_backoff_ns = backoff;
-                StackParams params;
-                params.threads = t;
-                params.config = &cfg;
-                const RunResult r = run_throughput_any(
-                    [&] { return sec_algo->make(params); },
-                    ctx.run_config(t, kUpdateHeavy));
-                table.add(t, column, r.mops);
-                progress_line(column, t, r.mops);
-                if (r.mops > best[ti].second) best[ti] = {column, r.mops};
-            }
+            table.add(t, p.column, mops);
         }
     }
     ctx.emit(table);
-    for (std::size_t ti = 0; ti < ctx.env.threads.size(); ++ti) {
-        std::printf("# sweep best @ t=%-4u %s (%.2f Mops/s)\n",
-                    ctx.env.threads[ti], best[ti].first.c_str(),
-                    best[ti].second);
-        ctx.csv_row("sweep_best", std::to_string(ctx.env.threads[ti]),
-                    best[ti].first, best[ti].second);
-    }
-    return 0;
+    return table;
 }
 
 }  // namespace sec::bench

@@ -4,9 +4,10 @@
 // The runners must divide by the workers' self-timed span (min begin to max
 // end), not by the coordinator's sleep duration — dividing the overshoot
 // ops by the short window used to inflate short-window throughput by a
-// scheduling-dependent amount. A stack whose every push takes ~60 ms against
+// scheduling-dependent amount. A stack whose every op takes ~60 ms against
 // a 10 ms nominal window makes the bias unmissable: the honest window is at
-// least one op long.
+// least one op long. The latency and churn runners share the window, so
+// they are pinned here too.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -16,6 +17,7 @@
 #include <thread>
 
 #include "workload/any_runner.hpp"
+#include "workload/histogram.hpp"
 #include "workload/runner.hpp"
 
 namespace sb = sec::bench;
@@ -65,16 +67,28 @@ constexpr double kMinHonestWindowUs = 50'000.0;
 
 }  // namespace
 
-TEST(RunnerWindow, StaticRunnerChargesTheStraddlingOp) {
-    SlowOpStack stack;
-    const sb::RunResult r =
-        sb::run_throughput([&] { return &stack; }, slow_config());
-    EXPECT_GE(derived_window_us(r), kMinHonestWindowUs);
-}
-
 TEST(RunnerWindow, ErasedRunnerChargesTheStraddlingOp) {
     const sb::RunResult r = sb::run_throughput_any(
         [] { return sb::erase_stack(std::make_unique<SlowOpStack>()); },
         slow_config());
     EXPECT_GE(derived_window_us(r), kMinHonestWindowUs);
+}
+
+// The op in flight when the window closes is timed and recorded, whole.
+TEST(RunnerWindow, LatencyRunnerRecordsTheStraddlingOp) {
+    sec::AnyStack stack = sb::erase_stack(std::make_unique<SlowOpStack>());
+    const sb::LatencyHistogram h = sb::run_latency_any(stack, slow_config());
+    EXPECT_GE(h.total(), 1u);
+    EXPECT_GE(h.quantile_ns(0.50),
+              static_cast<std::uint64_t>(
+                  std::chrono::nanoseconds(kOpDuration).count()));
+}
+
+// Two 60 ms ops on one thread: divided by the worker's own span, the rate
+// is at most 2 ops per 100 ms.
+TEST(RunnerWindow, ChurnRunnerDividesByTheWorkersSpan) {
+    sec::AnyStack stack = sb::erase_stack(std::make_unique<SlowOpStack>());
+    const double mops = sb::run_churn_any(stack, 1, 2, 1024);
+    EXPECT_GT(mops, 0.0);
+    EXPECT_LE(mops, 2.0 / 100'000.0);
 }
