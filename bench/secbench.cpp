@@ -9,7 +9,7 @@
 // its value goes. One loop parses every row, one message per kind rejects a
 // bad value with exit status 2, and --help prints the same table. Presets
 // apply before the explicit flags, in a fixed order: --paper, then
-// --smoke, then the configuration a --baseline snapshot records.
+// --smoke.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -38,17 +38,17 @@ struct Args {
     std::vector<unsigned> threads;
     std::optional<std::uint64_t> duration_ms, runs, prefill, value_range, seed,
         port, repeats;
-    std::optional<double> load, tolerance;
+    std::optional<double> load;
     const char *algos = nullptr, *pin = nullptr, *reclaim = nullptr,
                *sweep = nullptr, *arrival = nullptr, *csv = nullptr,
-               *json = nullptr, *baseline = nullptr;
+               *json = nullptr;
     bool smoke = false, paper = false, help = false, list = false;
 };
 
 // The kinds of flag value: one grammar and one rejection message each.
 enum class Kind {
     kUnsigned,  // digits only, within [lo, hi]
-    kDecimal,   // [0-9]+(.[0-9]+)? only; lo = 1 also demands a value above 0
+    kDecimal,   // [0-9]+(.[0-9]+)? only, above 0
     kGrid,      // comma-separated positive integers (sb::parse_grid)
     kChoice,    // a name `valid` accepts; `meta` lists them
     kText,      // a path or a name, checked where it is used
@@ -106,7 +106,7 @@ const Flag kFlags[] = {
      "SEC tuning-surface cross-product, e.g.\nagg=1:5,backoff=0:4096; ranges "
      "lo:hi[:step]"},
     {"--load", Kind::kDecimal, &Args::load, "KOPS",
-     "'service' offered load (and 'knee' start)", 1},
+     "'service' offered load (and 'knee' start)"},
     {"--arrival", Kind::kChoice, &Args::arrival, "poisson|burst",
      "arrival process for 'service'/'knee'", 0, 0, valid_arrival},
     {"--port", Kind::kUnsigned, &Args::port, "N",
@@ -117,14 +117,8 @@ const Flag kFlags[] = {
      "also write table,key,column,value rows here"},
     {"--json", Kind::kText, &Args::json, "PATH",
      "write a BENCH_*.json snapshot (REPRODUCING §6)"},
-    {"--baseline", Kind::kText, &Args::baseline, "PATH",
-     "re-run a snapshot's configuration, compare per\ncell; exit 1 on "
-     "regressions beyond tolerance"},
     {"--repeats", Kind::kUnsigned, &Args::repeats, "N",
-     "median-of-N snapshot repeats (default 1, or\nthe baseline's count)", 1,
-     1000},
-    {"--tolerance", Kind::kDecimal, &Args::tolerance, "PCT",
-     "--baseline gate width, percent (default 10)"},
+     "--json: each cell is the median of N runs\n(default 1)", 1, 1000},
     {"--smoke", Kind::kSwitch, &Args::smoke, nullptr,
      "tiny smoke preset (25 ms, 2 threads, 1 run)"},
     {"--paper", Kind::kSwitch, &Args::paper, nullptr,
@@ -178,9 +172,7 @@ bool store(const Flag& f, const char* value, Args& a) {
         }
         case Kind::kDecimal: {
             double d = 0;
-            if (!sb::parse_decimal_strict(value, d) || (f.lo > 0 && d == 0)) {
-                return false;
-            }
+            if (!sb::parse_decimal_strict(value, d) || d == 0) return false;
             member<std::optional<double>>(a, f) = d;
             return true;
         }
@@ -208,8 +200,7 @@ std::string expected(const Flag& f) {
             return "an integer in [" + std::to_string(f.lo) + ", " +
                    std::to_string(f.hi) + "]";
         case Kind::kDecimal:
-            return f.lo > 0 ? "a plain decimal above 0, like 12 or 2.5"
-                            : "a plain decimal, like 12 or 2.5";
+            return "a plain decimal above 0, like 12 or 2.5";
         case Kind::kGrid:
             return "a list of positive integers";
         default:
@@ -291,9 +282,7 @@ int main(int argc, char** argv) {
     if (a.sweep != nullptr && scenarios.empty() && !run_all) {
         scenarios.push_back("sweep");
     }
-    if (!run_all && scenarios.empty() && a.baseline == nullptr) {
-        return print_help(stderr);
-    }
+    if (!run_all && scenarios.empty()) return print_help(stderr);
 
     sb::ScenarioContext ctx;
     ctx.smoke = a.smoke;
@@ -304,8 +293,6 @@ int main(int argc, char** argv) {
     if (a.port) ctx.env.port = static_cast<unsigned>(*a.port);
     std::vector<std::string> algo_names;
     if (a.algos != nullptr) algo_names = split_csv(a.algos);
-    const char* reclaim_scheme = a.reclaim;
-    unsigned repeats = static_cast<unsigned>(a.repeats.value_or(0));
 
     if (a.paper) {
         // The paper's methodology: 5 s windows, 5 runs, grid up to twice
@@ -325,50 +312,6 @@ int main(int argc, char** argv) {
         ctx.env.runs = 1;
         ctx.env.threads = {2};
         ctx.env.prefill = std::min<std::size_t>(ctx.env.prefill, 1000);
-    }
-    // --baseline: re-run the pinned configuration the snapshot records —
-    // scenario list, algorithm selection, and the effective EnvConfig — so
-    // the compare is like-for-like by construction. Explicit flags given
-    // alongside still win (they are applied below).
-    sb::json::Snapshot baseline;
-    if (a.baseline != nullptr) {
-        std::string err;
-        if (!sb::json::read_snapshot(a.baseline, baseline, &err)) {
-            std::fprintf(stderr, "secbench: cannot read baseline '%s': %s\n",
-                         a.baseline, err.c_str());
-            return 2;
-        }
-        if (scenarios.empty() && !run_all) {
-            scenarios = split_csv(baseline.meta.scenarios.c_str());
-            if (scenarios.empty()) {
-                std::fprintf(stderr,
-                             "secbench: baseline '%s' names no scenarios and "
-                             "none were given\n",
-                             a.baseline);
-                return 2;
-            }
-        }
-        if (algo_names.empty() && !baseline.meta.algos.empty()) {
-            algo_names = split_csv(baseline.meta.algos.c_str());
-        }
-        if (reclaim_scheme == nullptr && !baseline.meta.reclaim.empty()) {
-            reclaim_scheme = baseline.meta.reclaim.c_str();
-        }
-        ctx.smoke = a.smoke || baseline.meta.smoke;
-        if (baseline.meta.duration_ms > 0) {
-            ctx.env.duration_ms = baseline.meta.duration_ms;
-        }
-        if (baseline.meta.runs > 0) ctx.env.runs = baseline.meta.runs;
-        if (!baseline.meta.threads.empty()) {
-            ctx.env.threads = baseline.meta.threads;
-        }
-        ctx.env.prefill = baseline.meta.prefill;
-        if (baseline.meta.value_range > 0) {
-            ctx.env.value_range = baseline.meta.value_range;
-        }
-        ctx.env.seed = baseline.meta.seed;
-        if (!baseline.meta.pin.empty()) ctx.env.pin = baseline.meta.pin;
-        if (repeats == 0) repeats = std::max(1u, baseline.meta.repeats);
     }
     if (a.pin != nullptr) ctx.env.pin = a.pin;
     if (a.duration_ms) {
@@ -405,18 +348,18 @@ int main(int argc, char** argv) {
     // --reclaim SCHEME: rebind the selection to the ALGO@scheme variants.
     // "ebr" is the plain names' built-in binding, so it leaves the
     // selection (and thus all scenario keys) untouched.
-    if (reclaim_scheme != nullptr && *reclaim_scheme != '\0') {
+    if (a.reclaim != nullptr && *a.reclaim != '\0') {
         auto& rec_reg = sb::ReclaimerRegistry::instance();
-        if (rec_reg.find(reclaim_scheme) == nullptr) {
+        if (rec_reg.find(a.reclaim) == nullptr) {
             std::fprintf(stderr,
                          "secbench: unknown reclaimer '%s'; available: %s\n",
-                         reclaim_scheme, rec_reg.names_csv().c_str());
+                         a.reclaim, rec_reg.names_csv().c_str());
             return 2;
         }
         std::vector<const sb::AlgoSpec*> mapped;
         for (const sb::AlgoSpec* spec : ctx.algos) {
             const sb::AlgoSpec* variant =
-                algo_reg.find_variant(spec->base, reclaim_scheme);
+                algo_reg.find_variant(spec->base, a.reclaim);
             if (variant != nullptr) {
                 // Distinct selections can map to one variant (SEC,SEC@hp
                 // --reclaim hp); run it once, not per alias.
@@ -428,18 +371,18 @@ int main(int argc, char** argv) {
                 std::fprintf(stderr,
                              "secbench: %s has no '%s' variant; dropping "
                              "it from the selection\n",
-                             spec->name.c_str(), reclaim_scheme);
+                             spec->name.c_str(), a.reclaim);
             }
         }
         if (mapped.empty()) {
             std::fprintf(stderr,
                          "secbench: no selected algorithm supports "
                          "--reclaim %s\n",
-                         reclaim_scheme);
+                         a.reclaim);
             return 2;
         }
         ctx.algos = std::move(mapped);
-        ctx.reclaim = reclaim_scheme;
+        ctx.reclaim = a.reclaim;
     }
 
     // A shape-mixed selection benchmarks apples against oranges — a LIFO
@@ -486,15 +429,15 @@ int main(int argc, char** argv) {
         }
     }
 
-    // Snapshot runs: repeat the whole scenario list `repeats` times, each
+    // Snapshot runs: repeat the whole scenario list --repeats times, each
     // into its own cell set, and keep per-cell medians (the noise guard).
-    // Without --json/--baseline there is nothing to median, so one pass.
-    const bool want_snapshot = a.json != nullptr || a.baseline != nullptr;
-    const unsigned reps = want_snapshot ? std::max(1u, repeats) : 1;
-    if (!want_snapshot && repeats > 1) {
+    // Without --json there is nothing to median, so one pass.
+    const bool want_snapshot = a.json != nullptr;
+    const unsigned reps =
+        want_snapshot ? static_cast<unsigned>(a.repeats.value_or(1)) : 1;
+    if (!want_snapshot && a.repeats.value_or(1) > 1) {
         std::fprintf(stderr,
-                     "secbench: --repeats has no effect without --json or "
-                     "--baseline\n");
+                     "secbench: --repeats has no effect without --json\n");
     }
     std::vector<sb::json::Snapshot> snaps;
     int rc = 0;
@@ -539,35 +482,13 @@ int main(int argc, char** argv) {
         meta.pin = ctx.env.pin.empty() ? "none" : ctx.env.pin;
         current.meta = std::move(meta);
 
-        if (a.json != nullptr) {
-            std::string err;
-            if (sb::json::write_snapshot(current, a.json, &err)) {
-                std::fprintf(stderr, "# wrote %zu cells to %s\n",
-                             current.cells.size(), a.json);
-            } else {
-                std::fprintf(stderr, "secbench: %s\n", err.c_str());
-                if (rc == 0) rc = 2;
-            }
-        }
-        if (a.baseline != nullptr) {
-            // Topology drift warns but never fails: the compare already
-            // scale-normalizes cross-machine speed, but a shape change
-            // (socket count, SMT, pin policy) is context every surprising
-            // per-cell delta needs.
-            const std::string drift =
-                sb::json::topology_mismatch(baseline.meta, current.meta);
-            if (!drift.empty()) {
-                std::fprintf(stderr,
-                             "secbench: warning: baseline topology differs "
-                             "from this host: %s (refresh the snapshot here "
-                             "to silence; see REPRODUCING.md §6)\n",
-                             drift.c_str());
-            }
-            const sb::json::CompareResult cmp =
-                sb::json::compare(baseline, current,
-                                  a.tolerance.value_or(10.0));
-            sb::json::print_compare(cmp, stdout);
-            if (!cmp.ok() && rc == 0) rc = 1;
+        std::string err;
+        if (sb::json::write_snapshot(current, a.json, &err)) {
+            std::fprintf(stderr, "# wrote %zu cells to %s\n",
+                         current.cells.size(), a.json);
+        } else {
+            std::fprintf(stderr, "secbench: %s\n", err.c_str());
+            if (rc == 0) rc = 2;
         }
     }
     return rc;

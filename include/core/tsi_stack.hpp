@@ -6,6 +6,14 @@
 // (Figure 3: no synchronisation at all) and collapses on pop-only (every pop
 // pays an all-pools scan).
 //
+// A push links its node first and stamps it after, the paper's
+// insert-then-stamp order. A linked node still carries kUnstamped, which
+// every pop and peek ranks youngest: its push is still running, so taking
+// it first is a legal order. Stamping before the link would let a push
+// that was stamped early but linked late rank older than a push that
+// completed before it was linked, and pops would then take the two out of
+// LIFO order.
+//
 // Reclamation is pluggable but restricted to blanket schemes (EBR / QSBR /
 // leaky): the all-pools scan dereferences nodes it discovers mid-walk and
 // has no anchor to revalidate a per-node hazard against, so hazard pointers
@@ -63,14 +71,17 @@ public:
         Pool& pool = pools_[pool_of(detail::tid())];
         Node* node = new Node;
         node->value = v;
-        node->taken.store(false, std::memory_order_relaxed);
-        node->ts = now();
+        // Once linked, the node can be taken, detached and retired by a pop
+        // before the stamp below is stored; the guard keeps it allocated
+        // until then.
+        typename R::Guard guard(*domain_);
         Node* head = pool.head.load(std::memory_order_relaxed);
         do {
             node->next = head;
         } while (!pool.head.compare_exchange_weak(head, node,
                                                   std::memory_order_release,
                                                   std::memory_order_relaxed));
+        node->ts.store(now(), std::memory_order_release);
         return true;
     }
 
@@ -81,9 +92,11 @@ public:
             std::uint64_t best_ts = 0;
             for (std::size_t i = 0; i < num_pools_; ++i) {
                 Node* n = first_untaken(pools_[i]);
-                if (n != nullptr && (best == nullptr || n->ts > best_ts)) {
+                if (n == nullptr) continue;
+                const std::uint64_t ts = n->ts.load(std::memory_order_acquire);
+                if (best == nullptr || ts > best_ts) {
                     best = n;
-                    best_ts = n->ts;
+                    best_ts = ts;
                 }
             }
             if (best == nullptr) return std::nullopt;  // all pools empty
@@ -104,9 +117,11 @@ public:
         std::uint64_t best_ts = 0;
         for (std::size_t i = 0; i < num_pools_; ++i) {
             const Node* n = first_untaken(pools_[i]);
-            if (n != nullptr && (best == nullptr || n->ts > best_ts)) {
+            if (n == nullptr) continue;
+            const std::uint64_t ts = n->ts.load(std::memory_order_acquire);
+            if (best == nullptr || ts > best_ts) {
                 best = n;
-                best_ts = n->ts;
+                best_ts = ts;
             }
         }
         if (best == nullptr) return std::nullopt;
@@ -118,9 +133,13 @@ public:
     void reclaim_offline() { domain_->offline(); }
 
 private:
+    // The stamp of a node whose push has linked it but not yet stamped it:
+    // younger than any stamp now() returns.
+    static constexpr std::uint64_t kUnstamped = ~std::uint64_t{0};
+
     struct Node {
         V value{};
-        std::uint64_t ts = 0;
+        std::atomic<std::uint64_t> ts{kUnstamped};
         std::atomic<bool> taken{false};
         Node* next = nullptr;  // toward older elements; immutable once linked
     };

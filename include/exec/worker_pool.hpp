@@ -14,8 +14,6 @@
 //     a per-worker cpu plan; pinning is best-effort (containers may refuse
 //     sched_setaffinity) and a refused pin leaves the worker unpinned with
 //     ctx.cpu == -1 rather than failing the run
-//   * placement publication — a pinned worker's {cpu, package, core, L3}
-//     appears in exec::this_thread_placement() for lower layers to read
 //   * counters — with PoolOptions::counters, each worker carries a
 //     perf_event group (cycles / instructions / LLC misses) that degrades
 //     to nothing when the kernel refuses the syscall
@@ -134,7 +132,6 @@ public:
     // The cpu the plan assigns worker t (-1 under kNone). What the worker
     // actually got is its ctx.cpu.
     int planned_cpu(unsigned t) const noexcept;
-    const topo::Topology& topology() const noexcept { return *topology_; }
 
     // Counter totals across workers; meaningful after join(). any() is
     // false when every group failed to open (denied syscall, counters off).
@@ -149,7 +146,6 @@ private:
 
     unsigned workers_;
     PoolOptions opts_;
-    const topo::Topology* topology_;
     std::vector<int> plan_;  // empty under kNone
     std::unique_ptr<Barrier> barrier_;
     std::vector<std::thread> threads_;

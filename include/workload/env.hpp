@@ -3,8 +3,8 @@
 //
 // EnvConfig holds the run defaults: a quick look of 200 ms x 1 run per data
 // point over threads {2,4,8}, after the paper's prefill of 1000 nodes.
-// secbench rewrites it from its presets (--paper, --smoke, --baseline) and
-// flags before any scenario runs; nothing is read from the environment.
+// secbench rewrites it from its presets (--paper, --smoke) and flags
+// before any scenario runs; nothing is read from the environment.
 //
 // Every parser is whole-value-or-nothing: input that doesn't match the
 // grammar (trailing junk, signs, spaces, "abc") is rejected, never read as

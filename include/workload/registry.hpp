@@ -132,7 +132,7 @@ struct ScenarioContext {
     EnvConfig env;
     std::vector<const AlgoSpec*> algos;  // selection, legend order
     std::FILE* csv = nullptr;            // optional CSV sink (secbench --csv)
-    // Optional BENCH_*.json snapshot sink (secbench --json / --baseline):
+    // Optional BENCH_*.json snapshot sink (secbench --json):
     // emit() feeds every Table cell into it, csv_row() the table-less
     // cells, so a snapshot is exactly what the run printed.
     json::Snapshot* json = nullptr;

@@ -191,6 +191,11 @@ std::uint64_t phase_serve_consume(S& stack, const std::atomic<bool>& stop,
             stalled = true;
             sec::detail::spin_for_ns(a.stall_ns);
         }
+        // Read before the pop: the producers joined before `stop` was set,
+        // so a pop that finds the buffer empty after `stop` was seen means
+        // it is drained for good. Read after the pop, a consumer preempted
+        // between the two would miss every push that landed meanwhile.
+        const bool producers_done = stop.load(std::memory_order_acquire);
         const auto t0 = Clock::now();
         const auto v = stack.pop();
         const auto t1 = Clock::now();
@@ -208,9 +213,7 @@ std::uint64_t phase_serve_consume(S& stack, const std::atomic<bool>& stop,
                                    .count())
                          : 0);
             ++done;
-        } else if (stop.load(std::memory_order_relaxed)) {
-            // Producers joined before `stop` was set, so an empty pop after
-            // observing it means the buffer is drained for good.
+        } else if (producers_done) {
             break;
         } else {
             backoff.pause();

@@ -6,26 +6,12 @@
 #include <utility>
 
 #include "core/common.hpp"
-#include "exec/placement.hpp"
 
 #if defined(__linux__)
 #include <sched.h>
 #endif
 
 namespace sec::exec {
-
-// ---- per-thread placement (exec/placement.hpp) -----------------------------
-
-namespace detail {
-ThreadPlacement& mutable_thread_placement() noexcept {
-    thread_local ThreadPlacement placement;
-    return placement;
-}
-}  // namespace detail
-
-const ThreadPlacement& this_thread_placement() noexcept {
-    return detail::mutable_thread_placement();
-}
 
 // ---- WorkerContext ---------------------------------------------------------
 
@@ -45,9 +31,9 @@ void WorkerContext::counters_restart() {
 WorkerPool::WorkerPool(unsigned workers, PoolOptions opts)
     : workers_(workers),
       opts_(opts),
-      topology_(opts.topology != nullptr ? opts.topology
-                                         : &topo::Topology::system()),
-      plan_(topology_->plan(opts.pin, workers, opts.plan_offset)),
+      plan_((opts.topology != nullptr ? *opts.topology
+                                      : topo::Topology::system())
+                .plan(opts.pin, workers, opts.plan_offset)),
       barrier_(std::make_unique<Barrier>(
           static_cast<std::ptrdiff_t>(workers) +
           (opts.coordinator_in_barrier ? 1 : 0))) {}
@@ -97,17 +83,7 @@ void WorkerPool::worker_main(unsigned t) {
         CPU_SET(static_cast<unsigned>(plan_[t]), &set);
         // Best-effort: a container that refuses affinity (restricted
         // cpuset, seccomp) leaves the worker unpinned, not the run failed.
-        if (::sched_setaffinity(0, sizeof set, &set) == 0) {
-            ctx.cpu = plan_[t];
-            ThreadPlacement& placement = detail::mutable_thread_placement();
-            placement.cpu = plan_[t];
-            if (const topo::CpuInfo* info =
-                    topology_->find_cpu(static_cast<unsigned>(plan_[t]))) {
-                placement.package = info->package;
-                placement.core = info->core;
-                placement.l3 = info->l3;
-            }
-        }
+        if (::sched_setaffinity(0, sizeof set, &set) == 0) ctx.cpu = plan_[t];
     }
 #endif
 

@@ -338,8 +338,7 @@ void ScenarioContext::emit(const Table& table) const {
 
 void ScenarioContext::csv_row(std::string_view table, std::string_view key,
                               std::string_view column, double value) const {
-    // csv_row cells carry no unit, so the snapshot compare reports but
-    // never gates them (workload/bench_json.hpp).
+    // csv_row cells carry no unit; their column names say what they hold.
     if (json != nullptr) json->add(table, key, column, "", value);
     const auto write = [&](std::FILE* out, const char* prefix) {
         std::fprintf(out, "%s%.*s,%.*s,%.*s,%.4f\n", prefix,

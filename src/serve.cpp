@@ -161,7 +161,7 @@ ServiceResult run_service_any(const AnyStackFactory& make,
     // Producers exit when their schedules are exhausted; only then may the
     // consumers treat an empty buffer as drained.
     producer_pool.join();
-    stop.store(true, std::memory_order_relaxed);
+    stop.store(true, std::memory_order_release);
     consumer_pool.join();
 
     Clock::time_point last = epoch;

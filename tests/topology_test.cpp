@@ -17,8 +17,9 @@
 #include <string>
 #include <vector>
 
+#include <sched.h>
+
 #include "core/common.hpp"
-#include "exec/placement.hpp"
 #include "exec/worker_pool.hpp"
 
 namespace {
@@ -330,8 +331,8 @@ TEST(WorkerPool, CoordinatorBarrierSequencesPhases) {
 TEST(WorkerPool, PinningAgainstFixtureTopologyIsBestEffort) {
     // Plan against the dual-socket fixture. On hosts that don't have
     // cpus 0..7 (or refuse affinity) the pin fails and the worker stays
-    // unpinned with cpu == -1 — the run itself must still complete and
-    // a successful pin must publish a coherent placement.
+    // unpinned with cpu == -1 — the run itself must still complete, and a
+    // worker that was pinned must run on its planned cpu.
     const auto fixture = topo::Topology::parse(dual_tree().string());
     ASSERT_TRUE(fixture.has_value());
     ex::PoolOptions opts;
@@ -341,28 +342,22 @@ TEST(WorkerPool, PinningAgainstFixtureTopologyIsBestEffort) {
 
     constexpr unsigned kWorkers = 4;
     std::vector<int> got(kWorkers, -2);
-    std::vector<ex::ThreadPlacement> placed(kWorkers);
+    std::vector<int> ran_on(kWorkers, -2);
     ex::WorkerPool pool(kWorkers, opts);
     for (unsigned t = 0; t < kWorkers; ++t) {
         EXPECT_GE(pool.planned_cpu(t), 0);  // the plan itself always exists
     }
     pool.start([&](ex::WorkerContext& wc) {
         got[wc.index] = wc.cpu;
-        placed[wc.index] = ex::this_thread_placement();
+        ran_on[wc.index] = ::sched_getcpu();
     });
     pool.join();
     for (unsigned t = 0; t < kWorkers; ++t) {
         if (got[t] >= 0) {
             EXPECT_EQ(got[t], pool.planned_cpu(t));
-            EXPECT_TRUE(placed[t].pinned());
-            EXPECT_EQ(placed[t].cpu, got[t]);
-            const topo::CpuInfo* info =
-                fixture->find_cpu(static_cast<unsigned>(got[t]));
-            ASSERT_NE(info, nullptr);
-            EXPECT_EQ(placed[t].l3, info->l3);
+            EXPECT_EQ(ran_on[t], got[t]);
         } else {
             EXPECT_EQ(got[t], -1);  // refused pin, clean fallback
-            EXPECT_FALSE(placed[t].pinned());
         }
     }
 }
