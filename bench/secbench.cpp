@@ -22,10 +22,10 @@
 #include <vector>
 
 #include "exec/topology.hpp"
+#include "workload/arrival.hpp"
 #include "workload/bench_json.hpp"
 #include "workload/env.hpp"
 #include "workload/registry.hpp"
-#include "workload/service.hpp"
 
 namespace sb = sec::bench;
 
@@ -106,9 +106,9 @@ const Flag kFlags[] = {
      "SEC tuning-surface cross-product, e.g.\nagg=1:5,backoff=0:4096; ranges "
      "lo:hi[:step]"},
     {"--load", Kind::kDecimal, &Args::load, "KOPS",
-     "'service' offered load (and 'knee' start)"},
+     "'net_service' offered load"},
     {"--arrival", Kind::kChoice, &Args::arrival, "poisson|burst",
-     "arrival process for 'service'/'knee'", 0, 0, valid_arrival},
+     "'net_service' arrival process", 0, 0, valid_arrival},
     {"--port", Kind::kUnsigned, &Args::port, "N",
      "'net_service' target: a secserve on\n127.0.0.1:N (0: in-process "
      "server)",

@@ -16,7 +16,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <concepts>
 #include <cstddef>
 #include <cstdint>
@@ -42,31 +41,12 @@ struct PhaseArgs {
     OpMix mix = kUpdateHeavy;
 };
 
-// Per-lane inputs of the open-loop service phases (workload/service.hpp).
-// A producer lane replays `schedule` — ns offsets from `epoch`, ascending —
-// pushing each request stamped with its *scheduled* arrival offset as the
-// value; a consumer charges completion minus scheduled arrival, so a
-// request that sat behind a stalled combiner (or a producer that fell
-// behind its own schedule) is billed its full queueing delay, not just the
-// pop in flight. That accounting is what makes the harness free of
-// coordinated omission.
-struct ServeProduceArgs {
-    const std::uint64_t* schedule = nullptr;  // sorted ns offsets from epoch
-    std::size_t count = 0;
-    std::chrono::steady_clock::time_point epoch{};
-};
-
-struct ServeConsumeArgs {
-    std::chrono::steady_clock::time_point epoch{};
-    // Deterministic fault injection (tests): one spin-stall of `stall_ns`
-    // after this consumer's `stall_after_op`-th successful pop. stall_ns ==
-    // 0 disables. The stall sits OUTSIDE the timed pop, so it shows up in
-    // the arrival-to-completion (sojourn) histogram of every backed-up
-    // request but never in the per-op service-time histogram — the
-    // coordinated-omission proof in tests/service_test.cpp rests on that.
-    std::uint64_t stall_after_op = 0;
-    std::uint64_t stall_ns = 0;
-};
+// Declared only for perfbench's pass-through Model (perfbench/src/
+// served.cpp), which overrides and forwards Model::serve_produce/
+// serve_consume. These, the two virtuals and AnyStack's two forwarders go
+// with the next change to the benchmark (ROADMAP item 8).
+struct ServeProduceArgs;
+struct ServeConsumeArgs;
 
 class AnyStack {
 public:
@@ -95,13 +75,17 @@ public:
         virtual std::uint64_t timed_until(const std::atomic<bool>& stop,
                                           const PhaseArgs& args,
                                           bench::LatencyHistogram& hist) = 0;
-        // Open-loop service lanes (workload/service.hpp): one virtual call
-        // per lane, then the concrete-typed produce/consume loop.
-        virtual std::uint64_t serve_produce(const ServeProduceArgs& args) = 0;
-        virtual std::uint64_t serve_consume(const std::atomic<bool>& stop,
-                                            const ServeConsumeArgs& args,
-                                            bench::LatencyHistogram& sojourn,
-                                            bench::LatencyHistogram& service) = 0;
+        // For perfbench's overrides only (see ServeProduceArgs above);
+        // nothing in the library calls them.
+        virtual std::uint64_t serve_produce(const ServeProduceArgs&) {
+            return 0;
+        }
+        virtual std::uint64_t serve_consume(const std::atomic<bool>&,
+                                            const ServeConsumeArgs&,
+                                            bench::LatencyHistogram&,
+                                            bench::LatencyHistogram&) {
+            return 0;
+        }
 
         // Degree counters when the concrete type maintains them (SecStack
         // and SecQueue with Config::collect_stats).
@@ -134,6 +118,7 @@ public:
                               bench::LatencyHistogram& hist) {
         return model_->timed_until(stop, args, hist);
     }
+    // perfbench's pass-through Model calls these two (see ServeProduceArgs).
     std::uint64_t serve_produce(const ServeProduceArgs& args) {
         return model_->serve_produce(args);
     }

@@ -98,8 +98,9 @@ struct PoolOptions {
     // for worker-only rendezvous (churn drivers). Parties = workers (+1).
     bool coordinator_in_barrier = true;
     // Skip the first `plan_offset` slots of the policy's cpu order — two
-    // pools sharing one machine (service producers + consumers) stay
-    // disjoint by offsetting the second pool by the first pool's size.
+    // pools sharing one machine stay disjoint by offsetting the second pool
+    // by the first pool's size (perfbench's served_tcp starts its client
+    // pool at 1, past the server's one-thread loop pool).
     unsigned plan_offset = 0;
 };
 

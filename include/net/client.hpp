@@ -1,22 +1,21 @@
 // net/client.hpp — the loopback client driver (DESIGN.md §11): replays the
-// open-loop arrival schedules of workload/service.hpp over N real TCP
+// open-loop arrival schedules of workload/arrival.hpp over N real TCP
 // connections against a SecServer (in-process or a separate secserve).
 //
-// Accounting contract, identical to the in-process service lanes: every
-// request's identity is its schedule index (echoed by the server in the
-// frame tag), and a reply is charged completion minus *scheduled* arrival
-// (sojourn) — a reply delayed behind a backed-up connection is billed its
-// full queueing delay even if the client fell behind its own schedule. RTT
-// (reply minus actual send) is recorded side by side as the closed-loop
-// contrast, exactly like the sojourn/service histogram pair.
+// Accounting contract: every request's identity is its schedule index
+// (echoed by the server in the frame tag), and a reply is charged
+// completion minus *scheduled* arrival (sojourn) — a reply delayed behind a
+// backed-up connection or a stalled server is billed its full queueing
+// delay even if the client fell behind its own schedule. RTT (reply minus
+// actual send) is recorded side by side as the closed-loop contrast.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
 #include <string>
 
+#include "workload/arrival.hpp"
 #include "workload/histogram.hpp"
-#include "workload/service.hpp"
 
 namespace sec::net {
 
@@ -28,7 +27,7 @@ struct LoopbackClientConfig {
     double load_kops = 20.0;
     std::chrono::milliseconds duration{200};
     // Half the requests are pushes and half pops; a burst arrival takes
-    // ServiceConfig's burst shape.
+    // the fixed burst shape (kBurstPeriod, kBurstDuty).
     bench::ArrivalKind arrival = bench::ArrivalKind::kPoisson;
     std::uint64_t seed = 0;
 };

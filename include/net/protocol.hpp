@@ -9,8 +9,8 @@
 // endian- and alignment-portable with no third-party dependency. The tag is
 // an opaque client token echoed verbatim in the response — the loopback
 // driver stamps it with the request's schedule index so a reply can be
-// charged against its *scheduled* arrival (the same coordinated-omission-
-// free contract as the in-process service lanes, workload/runner.hpp).
+// charged against its *scheduled* arrival (coordinated-omission-free,
+// net/client.hpp).
 //
 // Message sizes are exact per type and tiny by construction; a frame whose
 // length field exceeds kMaxPayload, is zero, or disagrees with its type's

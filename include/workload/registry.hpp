@@ -146,12 +146,11 @@ struct ScenarioContext {
     // (workload/sweep.hpp) and falls back to a small default grid when
     // empty.
     std::string sweep_spec{};
-    // --load: offered load in Kops/s for the open-loop `service` scenario
-    // (0 = the scenario's default; the `knee` scenario uses it as the
-    // search's starting probe when given).
+    // --load: offered load in Kops/s for the open-loop `net_service`
+    // scenario (0 = the scenario's default).
     double load_kops = 0;
     // --arrival: "poisson" (default) or "burst" — the arrival process of
-    // the service scenarios (workload/service.hpp).
+    // `net_service` (workload/arrival.hpp).
     std::string arrival{};
 
     // Column names of the selected algorithms.

@@ -1,12 +1,9 @@
-// workload/runner.hpp — the phases every closed-loop and open-loop bench
-// composes:
+// workload/runner.hpp — the phases every closed-loop bench composes:
 //
-//   phase_prefill        load a worker's share of the initial population
-//   phase_mixed          the one mixed-op loop: until a stop flag
-//                        (StopFlag), for a fixed op count (OpCount), and
-//                        timed per op when handed a histogram
-//   phase_serve_produce  replay an open-loop arrival schedule
-//   phase_serve_consume  serve it, charging each request's sojourn
+//   phase_prefill  load a worker's share of the initial population
+//   phase_mixed    the one mixed-op loop: until a stop flag (StopFlag), for
+//                  a fixed op count (OpCount), and timed per op when handed
+//                  a histogram
 //
 // StackModel instantiates each phase against the concrete stack type and
 // erases it behind one AnyStack virtual call, so the erased runners
@@ -19,7 +16,6 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <thread>
 #include <type_traits>
 
 #include "core/common.hpp"
@@ -136,93 +132,6 @@ std::uint64_t phase_mixed(S& stack, const PhaseArgs& args, Done done,
     return ops;
 }
 
-// ---- open-loop service lanes (workload/service.hpp, DESIGN.md §9) ----------
-
-// Producer lane: replay a precomputed arrival schedule, pushing each request
-// stamped with its scheduled ns offset as the value. The lane waits for each
-// scheduled instant (coarse sleep, then a yield loop so few-core hosts don't
-// starve the consumers), but it never edits the stamp when it falls behind —
-// a late push is billed to the request, which is exactly the
-// coordinated-omission-free contract.
-template <ConcurrentContainer S>
-std::uint64_t phase_serve_produce(S& stack, const ServeProduceArgs& a) {
-    using Clock = std::chrono::steady_clock;
-    for (std::size_t i = 0; i < a.count; ++i) {
-        exec::quiesce_hook(stack);
-        const auto due = a.epoch + std::chrono::nanoseconds(a.schedule[i]);
-        for (;;) {
-            const auto now = Clock::now();
-            if (now >= due) break;
-            const auto gap = due - now;
-            if (gap > std::chrono::microseconds(200)) {
-                std::this_thread::sleep_for(gap -
-                                            std::chrono::microseconds(100));
-            } else {
-                std::this_thread::yield();
-            }
-            // QSBR lanes must keep announcing quiescence while idle between
-            // arrivals, or a sleeping producer stalls every grace period.
-            exec::quiesce_hook(stack);
-        }
-        stack.push(static_cast<typename S::value_type>(a.schedule[i]));
-    }
-    exec::offline_hook(stack);
-    return a.count;
-}
-
-// Consumer lane: pop until the producers are done AND the buffer is drained.
-// Two histograms per op: `service` times the pop call alone (the closed-loop
-// view), `sojourn` charges completion minus the request's scheduled arrival
-// (the open-loop view). A consumer that stalls — preempted, combining for
-// others, or the injected test stall — inflates the sojourn of every request
-// backed up behind it, which closed-loop service timing cannot see.
-template <ConcurrentContainer S>
-std::uint64_t phase_serve_consume(S& stack, const std::atomic<bool>& stop,
-                                  const ServeConsumeArgs& a,
-                                  LatencyHistogram& sojourn,
-                                  LatencyHistogram& service) {
-    using Clock = std::chrono::steady_clock;
-    std::uint64_t done = 0;
-    bool stalled = false;
-    sec::detail::Backoff backoff;
-    for (;;) {
-        exec::quiesce_hook(stack);
-        if (!stalled && a.stall_ns != 0 && done >= a.stall_after_op) {
-            stalled = true;
-            sec::detail::spin_for_ns(a.stall_ns);
-        }
-        // Read before the pop: the producers joined before `stop` was set,
-        // so a pop that finds the buffer empty after `stop` was seen means
-        // it is drained for good. Read after the pop, a consumer preempted
-        // between the two would miss every push that landed meanwhile.
-        const bool producers_done = stop.load(std::memory_order_acquire);
-        const auto t0 = Clock::now();
-        const auto v = stack.pop();
-        const auto t1 = Clock::now();
-        if (v) {
-            service.record(static_cast<std::uint64_t>(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
-                    .count()));
-            const auto due =
-                a.epoch + std::chrono::nanoseconds(static_cast<std::uint64_t>(
-                              static_cast<AnyStack::value_type>(*v)));
-            sojourn.record(
-                t1 > due ? static_cast<std::uint64_t>(
-                               std::chrono::duration_cast<
-                                   std::chrono::nanoseconds>(t1 - due)
-                                   .count())
-                         : 0);
-            ++done;
-        } else if (producers_done) {
-            break;
-        } else {
-            backoff.pause();
-        }
-    }
-    exec::offline_hook(stack);
-    return done;
-}
-
 // ---- type erasure over the phases ------------------------------------------
 
 // AnyStack::Model for a concrete stack type: per-op calls forward, phase
@@ -264,15 +173,6 @@ public:
                               const PhaseArgs& args,
                               LatencyHistogram& hist) override {
         return phase_mixed(*stack_, args, StopFlag{stop}, &hist);
-    }
-    std::uint64_t serve_produce(const ServeProduceArgs& args) override {
-        return phase_serve_produce(*stack_, args);
-    }
-    std::uint64_t serve_consume(const std::atomic<bool>& stop,
-                                const ServeConsumeArgs& args,
-                                LatencyHistogram& sojourn,
-                                LatencyHistogram& service) override {
-        return phase_serve_consume(*stack_, stop, args, sojourn, service);
     }
 
     bool has_stats() const override {

@@ -2,8 +2,7 @@
 //
 // One paced loop on the calling thread drives every connection over a
 // non-blocking socket. Connection c replays its own arrival schedule
-// (workload/service.hpp; seed phase_seed(seed, c, 0, 4), salt 4 keeping the
-// wire lanes disjoint from the in-process lanes' salt 3), and each frame's
+// (workload/arrival.hpp; seed phase_seed(seed, c, 0, 4)), and each frame's
 // tag is the request's schedule index, which the reply echoes. Each pass
 // sends every due request and decodes every ready reply. Between passes the
 // loop spins while a send is due within kSpinMarginNs, and otherwise blocks
@@ -164,13 +163,6 @@ LoopbackClientResult run_loopback_client(const LoopbackClientConfig& cfg) {
         return res;
     }
 
-    // Schedules reuse the service harness's generator verbatim, so the wire
-    // path offers the same arrival process the in-process lanes measure.
-    bench::ServiceConfig svc;
-    svc.load_kops = cfg.load_kops;
-    svc.duration = cfg.duration;
-    svc.arrival = cfg.arrival;
-    svc.seed = cfg.seed;
     const double lane_ops_s =
         cfg.load_kops * 1000.0 / static_cast<double>(cfg.connections);
 
@@ -183,7 +175,8 @@ LoopbackClientResult run_loopback_client(const LoopbackClientConfig& cfg) {
             return res;
         }
         lane.schedule = bench::make_arrival_schedule(
-            svc, lane_ops_s, bench::phase_seed(cfg.seed, c, 0, 4));
+            cfg.arrival, cfg.duration, lane_ops_s,
+            bench::phase_seed(cfg.seed, c, 0, 4));
         Xoshiro256 rng(bench::phase_seed(cfg.seed, c, 0, 5));
         for (std::size_t i = 0; i < lane.schedule.size(); ++i) {
             const bool push = rng.next_below(100) < kPushPct;

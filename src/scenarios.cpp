@@ -16,9 +16,9 @@
 #include "reclaim/reclaim.hpp"
 #include "sec.hpp"
 #include "workload/any_runner.hpp"
+#include "workload/arrival.hpp"
 #include "workload/histogram.hpp"
 #include "workload/registry.hpp"
-#include "workload/service.hpp"
 #include "workload/sweep.hpp"
 
 namespace sec::bench {
@@ -26,7 +26,7 @@ namespace {
 
 // Prefill proportional to expected pop volume so pop-heavy windows measure
 // real pops rather than EMPTY returns (the paper's fixed 1000-node prefill
-// drains within milliseconds; see EXPERIMENTS.md).
+// drains within milliseconds; see REPRODUCING.md §1, "Prefill").
 EnvConfig with_pop_prefill(EnvConfig env) {
     const std::size_t volume = static_cast<std::size_t>(
         25e6 * (static_cast<double>(env.duration_ms) / 1000.0) * 1.3);
@@ -427,170 +427,28 @@ int ablation_backoff(const ScenarioContext& ctx) {
     return 0;
 }
 
-// ---- service: open-loop offered-load tail latency (DESIGN.md §9) -----------
+// ---- net_service: open-loop service over loopback TCP (DESIGN.md §11) ----
 
-// Lane split for one grid point: the grid value is the CONSUMER count (the
-// serving capacity under comparison); producers are pure load generators
-// and scale at half that, bounded below by one.
-ServiceConfig service_config(const ScenarioContext& ctx, unsigned consumers,
-                             double load_kops, ArrivalKind arrival) {
-    ServiceConfig scfg;
-    scfg.consumers = consumers;
-    scfg.producers = std::max(1u, (consumers + 1) / 2);
-    scfg.load_kops = load_kops;
-    scfg.duration = std::chrono::milliseconds(ctx.env.duration_ms);
-    scfg.arrival = arrival;
-    scfg.seed = ctx.env.seed;
-    scfg.pin =
-        topo::parse_pin_policy(ctx.env.pin).value_or(topo::PinPolicy::kNone);
-    return scfg;
-}
-
-// Arrival kind from --arrival; rejects typos loudly
-// (a mislabelled arrival process corrupts every row it produces).
-std::optional<ArrivalKind> scenario_arrival(const ScenarioContext& ctx) {
-    const auto kind =
+// A SecServer per algorithm (its event loop draining readiness batches into
+// the structure) and the loopback client replaying Poisson or bursty
+// schedules over N real TCP connections, each reply charged against its
+// scheduled arrival. Grid value = connections. With --port set, the client
+// targets an already-running secserve instead (a second process; single
+// column "remote" because the remote process, not the local selection,
+// fixes the algorithm). Exits 1 when any scheduled request lost its reply,
+// or when an in-process server's counters disagree with each other or with
+// the replies the client read — CI's net-smoke job leans on that.
+int net_service(const ScenarioContext& ctx) {
+    // A mislabelled arrival process would corrupt every row it produces.
+    const auto arrival =
         parse_arrival(ctx.arrival.empty() ? "poisson" : ctx.arrival);
-    if (!kind) {
+    if (!arrival) {
         std::fprintf(stderr,
                      "secbench: unknown arrival process '%s' (poisson, "
                      "burst)\n",
                      ctx.arrival.c_str());
+        return 2;
     }
-    return kind;
-}
-
-int service(const ScenarioContext& ctx) {
-    const auto arrival = scenario_arrival(ctx);
-    if (!arrival) return 2;
-    const double load =
-        ctx.load_kops > 0 ? ctx.load_kops : (ctx.smoke ? 5.0 : 50.0);
-    std::printf(
-        "# open-loop service at %.1f Kops/s offered load, %s arrivals;\n"
-        "# sojourn = completion - SCHEDULED arrival (queueing delay "
-        "included,\n"
-        "# no coordinated omission), service = the pop call alone; grid "
-        "value\n"
-        "# = consumers, producers = half that\n",
-        load, std::string(arrival_name(*arrival)).c_str());
-    Table table("service_p99_us", ctx.columns(), "us");
-    for (unsigned t : ctx.env.threads) {
-        const ServiceConfig scfg = service_config(ctx, t, load, *arrival);
-        for (const AlgoSpec* a : ctx.algos) {
-            StackParams params;
-            params.threads = scfg.producers + scfg.consumers;
-            const ServiceResult r =
-                run_service_any([&] { return a->make(params); }, scfg);
-            const double p50_us = r.sojourn.quantile_ns(0.50) / 1000.0;
-            const double p99_us = r.sojourn.quantile_ns(0.99) / 1000.0;
-            const double p999_us = r.sojourn.quantile_ns(0.999) / 1000.0;
-            const double svc_p99_us = r.service.quantile_ns(0.99) / 1000.0;
-            std::printf(
-                "SERVICE %-10s t=%-4u offered=%8.2f achieved=%8.2f Kops/s "
-                "done=%llu/%llu sojourn p50=%9.1fus p99=%9.1fus "
-                "p999=%9.1fus | service p99=%9.1fus\n",
-                a->name.c_str(), t, r.offered_kops, r.achieved_kops,
-                static_cast<unsigned long long>(r.completed),
-                static_cast<unsigned long long>(r.produced), p50_us, p99_us,
-                p999_us, svc_p99_us);
-            table.add(t, a->name, p99_us);
-            const std::string key = a->name + "@t" + std::to_string(t);
-            ctx.csv_row("service", key, "offered_kops", r.offered_kops);
-            ctx.csv_row("service", key, "achieved_kops", r.achieved_kops);
-            ctx.csv_row("service", key, "completed",
-                        static_cast<double>(r.completed));
-            ctx.csv_row("service", key, "sojourn_p50_us", p50_us);
-            ctx.csv_row("service", key, "sojourn_p99_us", p99_us);
-            ctx.csv_row("service", key, "sojourn_p999_us", p999_us);
-            ctx.csv_row("service", key, "service_p99_us", svc_p99_us);
-        }
-    }
-    ctx.emit(table);
-    return 0;
-}
-
-// ---- knee: max sustainable load before the p99 explodes (DESIGN.md §9) -----
-
-int knee(const ScenarioContext& ctx) {
-    const auto arrival = scenario_arrival(ctx);
-    if (!arrival) return 2;
-    KneeConfig kc;
-    if (ctx.load_kops > 0) kc.start_kops = ctx.load_kops;
-    if (ctx.smoke) {
-        kc.start_kops = ctx.load_kops > 0 ? ctx.load_kops : 2.0;
-        kc.max_kops = 512.0;
-        kc.refine_steps = 2;
-    }
-    std::printf(
-        "# binary search for the highest offered load whose open-loop "
-        "sojourn\n"
-        "# p99 stays under %.1f ms (%s arrivals); each probe is one %u ms "
-        "window\n",
-        static_cast<double>(kc.p99_limit_ns) / 1e6,
-        std::string(arrival_name(*arrival)).c_str(), ctx.env.duration_ms);
-    Table table("service_knee_kops", ctx.columns(), "Kops/s");
-    for (unsigned t : ctx.env.threads) {
-        for (const AlgoSpec* a : ctx.algos) {
-            const ServiceConfig scfg =
-                service_config(ctx, t, kc.start_kops, *arrival);
-            StackParams params;
-            params.threads = scfg.producers + scfg.consumers;
-            // Every probe of the binary search lands in the CSV sink as a
-            // knee_trace row (key = algo@tN#probe), so the doubling phase
-            // and the bisections can be re-plotted from the file alone.
-            const KneeResult kr = find_service_knee(
-                [&] { return a->make(params); }, scfg, kc,
-                [&](const KneeProbe& p) {
-                    std::fprintf(stderr,
-                                 "  %-10s t=%-4u probe#%-2u %9.2f Kops/s "
-                                 "achieved=%9.2f p99=%9.2f ms %s\n",
-                                 a->name.c_str(), t, p.index, p.offered_kops,
-                                 p.achieved_kops, p.p99_ns / 1e6,
-                                 p.sustainable ? "ok" : "KNEE");
-                    const std::string pkey = a->name + "@t" +
-                                             std::to_string(t) + "#" +
-                                             std::to_string(p.index);
-                    ctx.csv_row("knee_trace", pkey, "offered_kops",
-                                p.offered_kops);
-                    ctx.csv_row("knee_trace", pkey, "achieved_kops",
-                                p.achieved_kops);
-                    ctx.csv_row("knee_trace", pkey, "p99_ns", p.p99_ns);
-                    ctx.csv_row("knee_trace", pkey, "sustainable",
-                                p.sustainable ? 1.0 : 0.0);
-                });
-            std::printf(
-                "KNEE %-10s t=%-4u sustainable=%9.2f Kops/s p99=%9.2f ms "
-                "(%u probes)\n",
-                a->name.c_str(), t, kr.sustainable_kops,
-                kr.p99_ns_at_knee / 1e6, kr.probes);
-            table.add(t, a->name, kr.sustainable_kops);
-            const std::string key = a->name + "@t" + std::to_string(t);
-            ctx.csv_row("service_knee", key, "sustainable_kops",
-                        kr.sustainable_kops);
-            ctx.csv_row("service_knee", key, "p99_ns_at_knee",
-                        kr.p99_ns_at_knee);
-            ctx.csv_row("service_knee", key, "probes",
-                        static_cast<double>(kr.probes));
-        }
-    }
-    ctx.emit(table);
-    return 0;
-}
-
-// ---- net_service: the open-loop harness over real sockets (DESIGN.md §11) --
-
-// The service scenario's accounting, but with the stack behind sec::net: a
-// SecServer per algorithm (event loop draining readiness batches into the
-// structure) and the loopback client replaying the same Poisson/bursty
-// schedules over N real TCP connections. Grid value = connections. With
-// --port set, the client targets an already-running
-// secserve instead (a second process; single column "remote" because the
-// remote process, not the local selection, fixes the algorithm). Exits
-// nonzero when any scheduled request lost its reply — CI's net-smoke job
-// leans on that.
-int net_service(const ScenarioContext& ctx) {
-    const auto arrival = scenario_arrival(ctx);
-    if (!arrival) return 2;
     const double load =
         ctx.load_kops > 0 ? ctx.load_kops : (ctx.smoke ? 2.0 : 20.0);
     const bool remote = ctx.env.port != 0;
@@ -650,7 +508,30 @@ int net_service(const ScenarioContext& ctx) {
                              r.error.c_str());
                 return 2;
             }
-            if (server) server->stop();
+            // The server's own accounting, read after stop() joined its
+            // loop: each request it applied was a push, a pop or an empty
+            // pop, and each got the one reply the client read. A remote
+            // server's counters live in its own process.
+            std::optional<net::ServerStats> st;
+            if (server) {
+                server->stop();
+                st = server->stats();
+                if (st->requests != st->pushes + st->pops + st->empties ||
+                    st->requests != r.replies) {
+                    std::fprintf(
+                        stderr,
+                        "secbench: net_service: server applied %llu "
+                        "requests as %llu pushes + %llu pops + %llu "
+                        "empties; client read %llu replies (%s, conns=%u)\n",
+                        static_cast<unsigned long long>(st->requests),
+                        static_cast<unsigned long long>(st->pushes),
+                        static_cast<unsigned long long>(st->pops),
+                        static_cast<unsigned long long>(st->empties),
+                        static_cast<unsigned long long>(r.replies),
+                        column.c_str(), t);
+                    rc = 1;
+                }
+            }
 
             const double p50_us = r.sojourn.quantile_ns(0.50) / 1000.0;
             const double p99_us = r.sojourn.quantile_ns(0.99) / 1000.0;
@@ -687,12 +568,11 @@ int net_service(const ScenarioContext& ctx) {
             ctx.csv_row("net_service", key, "sojourn_p99_us", p99_us);
             ctx.csv_row("net_service", key, "sojourn_p999_us", p999_us);
             ctx.csv_row("net_service", key, "rtt_p99_us", rtt_p99_us);
-            if (server) {
-                const net::ServerStats st = server->stats();
+            if (st) {
                 ctx.csv_row("net_service", key, "server_batches",
-                            static_cast<double>(st.batches));
+                            static_cast<double>(st->batches));
                 ctx.csv_row("net_service", key, "server_max_batch",
-                            static_cast<double>(st.max_batch));
+                            static_cast<double>(st->max_batch));
             }
         }
     }
@@ -811,14 +691,6 @@ void register_builtin_scenarios(ScenarioRegistry& reg) {
              sweep});
     reg.add({"ablation_backoff", "freezer backoff window sweep (DESIGN.md §6)",
              ablation_backoff});
-    reg.add({"service",
-             "open-loop offered-load tail latency, no coordinated omission "
-             "(DESIGN.md §9)",
-             service});
-    reg.add({"knee",
-             "max sustainable offered load before the sojourn p99 explodes "
-             "(DESIGN.md §9)",
-             knee});
     reg.add({"net_service",
              "open-loop service over loopback TCP via sec::net "
              "(DESIGN.md §11)",

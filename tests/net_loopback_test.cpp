@@ -1,13 +1,19 @@
 // net_loopback_test — SecServer + the loopback client driver over real
 // sockets on an ephemeral port: stack semantics survive the wire (LIFO
-// order, empty-pop signalling, stats), and the open-loop driver loses zero
-// replies. Runs in the TSan CI job, so everything crossing threads here is
-// atomic or join-ordered.
+// order, empty-pop signalling, stats), misbehaving peers cost the server
+// nothing, the open-loop driver loses zero replies and bills a server stall
+// to the requests behind it, and its arrival schedules have the right rate
+// and shape. Runs in the TSan and ASan CI jobs, so everything crossing
+// threads here is atomic or join-ordered.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cstdint>
 #include <cstring>
+#include <memory>
+#include <optional>
 #include <string>
 #include <thread>  // std::this_thread::sleep_for
 #include <vector>
@@ -23,7 +29,10 @@
 #include "net/client.hpp"
 #include "net/protocol.hpp"
 #include "net/server.hpp"
+#include "sec.hpp"
+#include "workload/arrival.hpp"
 #include "workload/registry.hpp"
+#include "workload/runner.hpp"
 
 namespace sec::net {
 namespace {
@@ -103,6 +112,17 @@ public:
                0;
     }
     bool half_close() { return ::shutdown(fd_, SHUT_WR) == 0; }
+
+    // Close with SO_LINGER {1, 0}: the kernel drops whatever is unread and
+    // sends RST instead of FIN.
+    bool reset() {
+        const linger abort{1, 0};
+        const bool ok = ::setsockopt(fd_, SOL_SOCKET, SO_LINGER, &abort,
+                                     sizeof(abort)) == 0;
+        ::close(fd_);
+        fd_ = -1;
+        return ok;
+    }
 
     // True when every reply has been taken and the server closed its side.
     bool at_eof() {
@@ -429,6 +449,66 @@ TEST(NetLoopback, SlowReaderIsPausedNotDropped) {
     server.stop();
 }
 
+// A peer that resets while the server still holds its replies costs the
+// server that connection only: 20,000 pops pipelined through a 4 KiB receive
+// buffer that reads nothing, then RST. The server's next send or wait on it
+// fails, it closes the connection, and a second peer is served as before.
+TEST(NetLoopback, PeerResetMidReplyLeavesTheServerServing) {
+    SecServer server(make_stack(), {});
+    std::string err;
+    ASSERT_TRUE(server.start(&err)) << err;
+
+    constexpr std::uint64_t kRequests = 20000;
+    {
+        SyncClient rude;
+        ASSERT_TRUE(rude.connect_to(server.port(), /*rcvbuf=*/4096));
+        std::vector<std::uint8_t> wire;
+        for (std::uint64_t i = 0; i < kRequests; ++i) {
+            Message req;
+            req.type = MsgType::kPopReq;
+            req.tag = i;
+            encode(req, wire);
+        }
+        ASSERT_TRUE(rude.send_all(wire));
+        // Reset only once every pop is applied, so ~440 KB of replies sit
+        // in the server's buffers when the RST lands.
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (server.stats().empties < kRequests &&
+               std::chrono::steady_clock::now() < deadline) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+        ASSERT_EQ(server.stats().empties, kRequests);
+        ASSERT_TRUE(rude.reset());
+    }
+
+    SyncClient polite;
+    ASSERT_TRUE(polite.connect_to(server.port()));
+    for (std::uint64_t i = 0; i < 100; ++i) {
+        Message req, resp;
+        req.type = MsgType::kPushReq;
+        req.tag = 2 * i;
+        req.value = i + 1;
+        ASSERT_TRUE(polite.roundtrip(req, resp)) << "push " << i;
+        EXPECT_EQ(resp.tag, 2 * i);
+        EXPECT_TRUE(resp.ok);
+        req = Message{};
+        req.type = MsgType::kPopReq;
+        req.tag = 2 * i + 1;
+        ASSERT_TRUE(polite.roundtrip(req, resp)) << "pop " << i;
+        EXPECT_EQ(resp.tag, 2 * i + 1);
+        EXPECT_TRUE(resp.ok);
+        EXPECT_EQ(resp.value, i + 1);
+    }
+
+    server.stop();
+    const ServerStats stats = server.stats();
+    EXPECT_EQ(stats.requests, stats.pushes + stats.pops + stats.empties);
+    EXPECT_EQ(stats.pushes, 100u);
+    EXPECT_EQ(stats.pops, 100u);
+    EXPECT_EQ(stats.empties, kRequests);
+}
+
 // The open-loop driver against a live server: every scheduled request must
 // come back exactly once. Tiny load — this runs under TSan in CI.
 TEST(NetLoopback, LoopbackDriverLosesZeroReplies) {
@@ -464,6 +544,53 @@ TEST(NetLoopback, LoopbackDriverLosesZeroReplies) {
     EXPECT_EQ(stats.pops + stats.empties, res.pop_hits + res.pop_empties);
 }
 
+// SecStack whose 50th pop spins for 100 ms: the one event loop serves
+// nothing meanwhile. Only that loop thread calls pop.
+class StallingStack {
+public:
+    using value_type = std::uint64_t;
+    static constexpr ContainerShape kShape = ContainerShape::lifo;
+
+    bool push(value_type v) { return inner_->push(v); }
+    std::optional<value_type> pop() {
+        if (++pops_ == 50) sec::detail::spin_for_ns(100'000'000);
+        return inner_->pop();
+    }
+    std::optional<value_type> peek() { return inner_->peek(); }
+
+private:
+    std::unique_ptr<SecStack<value_type>> inner_ =
+        sec::make_stack<SecStack<value_type>>(2);
+    std::uint64_t pops_ = 0;
+};
+
+// The driver charges each reply against its *scheduled* arrival, so a
+// server stall is billed to every request that came due behind it, not
+// just to the one in flight (no coordinated omission). About 200 of ~600
+// requests come due during the stall, and well over 1 % of all requests
+// wait 30 ms or more. Only this lower bound is pinned: the client keeps
+// sending through the stall, so RTT grows with sojourn and is no flat
+// contrast.
+TEST(NetLoopback, ServerStallIsBilledToTheRequestsBehindIt) {
+    SecServer server(bench::erase_stack(std::make_unique<StallingStack>()),
+                     {});
+    std::string err;
+    ASSERT_TRUE(server.start(&err)) << err;
+
+    LoopbackClientConfig cfg;
+    cfg.port = server.port();
+    cfg.connections = 2;
+    cfg.load_kops = 2.0;
+    cfg.duration = std::chrono::milliseconds(300);
+    cfg.seed = 3;
+
+    const LoopbackClientResult res = run_loopback_client(cfg);
+    server.stop();
+    ASSERT_TRUE(res.ok) << res.error;
+    EXPECT_EQ(res.lost, 0u);
+    EXPECT_GE(res.sojourn.quantile_ns(0.99), 30'000'000u);
+}
+
 // Determinism: the same (seed, config) generates the same schedules, so
 // two drivers offer identical request streams (sent counts match).
 TEST(NetLoopback, DriverSchedulesAreDeterministicInTheSeed) {
@@ -486,6 +613,49 @@ TEST(NetLoopback, DriverSchedulesAreDeterministicInTheSeed) {
     EXPECT_EQ(a.pushes, b.pushes);
 
     server.stop();
+}
+
+TEST(ArrivalSchedule, ParseAndNameRoundTrip) {
+    ASSERT_TRUE(bench::parse_arrival("poisson").has_value());
+    ASSERT_TRUE(bench::parse_arrival("burst").has_value());
+    EXPECT_FALSE(bench::parse_arrival("uniform").has_value());
+    EXPECT_FALSE(bench::parse_arrival("").has_value());
+    EXPECT_EQ(bench::arrival_name(*bench::parse_arrival("poisson")),
+              "poisson");
+    EXPECT_EQ(bench::arrival_name(*bench::parse_arrival("burst")), "burst");
+}
+
+TEST(ArrivalSchedule, PoissonIsDeterministicSortedAndRateAccurate) {
+    const auto kind = bench::ArrivalKind::kPoisson;
+    const auto horizon = std::chrono::milliseconds(200);
+    const double rate = 100'000.0;  // ops/s -> ~20k arrivals
+    const auto a = bench::make_arrival_schedule(kind, horizon, rate, 42);
+    const auto b = bench::make_arrival_schedule(kind, horizon, rate, 42);
+    EXPECT_EQ(a, b);
+    const auto c = bench::make_arrival_schedule(kind, horizon, rate, 43);
+    EXPECT_NE(a, c);
+    ASSERT_FALSE(a.empty());
+    EXPECT_TRUE(std::is_sorted(a.begin(), a.end()));
+    EXPECT_LT(a.back(), 200'000'000u);  // inside the horizon
+    // 20k expected arrivals: +-10% is ~14 sigma for a Poisson count.
+    EXPECT_GT(a.size(), 18'000u);
+    EXPECT_LT(a.size(), 22'000u);
+}
+
+TEST(ArrivalSchedule, BurstArrivalsStayInsideTheDutyWindow) {
+    const double rate = 100'000.0;
+    const auto s = bench::make_arrival_schedule(
+        bench::ArrivalKind::kBurst, std::chrono::milliseconds(200), rate, 7);
+    ASSERT_FALSE(s.empty());
+    constexpr std::uint64_t kPeriodNs = 10'000'000;
+    constexpr std::uint64_t kOnNs = 2'500'000;
+    for (std::uint64_t t : s) {
+        EXPECT_LT(t % kPeriodNs, kOnNs) << "arrival outside the burst at "
+                                        << t;
+    }
+    // The mean rate is preserved despite the compression.
+    EXPECT_GT(s.size(), 17'000u);
+    EXPECT_LT(s.size(), 23'000u);
 }
 
 }  // namespace
