@@ -36,12 +36,10 @@ namespace {
 struct Args {
     std::vector<std::string> scenarios;  // the positional names
     std::vector<unsigned> threads;
-    std::optional<std::uint64_t> duration_ms, runs, prefill, value_range, seed,
-        port, repeats;
+    std::optional<std::uint64_t> duration_ms, runs, seed, port, repeats;
     std::optional<double> load;
-    const char *algos = nullptr, *pin = nullptr, *reclaim = nullptr,
-               *sweep = nullptr, *arrival = nullptr, *csv = nullptr,
-               *json = nullptr;
+    const char *algos = nullptr, *pin = nullptr, *arrival = nullptr,
+               *csv = nullptr, *json = nullptr;
     bool smoke = false, paper = false, help = false, list = false;
 };
 
@@ -73,7 +71,6 @@ struct Flag {
 };
 
 constexpr std::uint64_t kMaxUnsigned = std::numeric_limits<unsigned>::max();
-constexpr std::uint64_t kMaxSize = std::numeric_limits<std::size_t>::max();
 constexpr std::uint64_t kMaxU64 = std::numeric_limits<std::uint64_t>::max();
 
 bool valid_pin(const char* v) {
@@ -86,25 +83,17 @@ const Flag kFlags[] = {
     {"--list", Kind::kSwitch, &Args::list, nullptr,
      "print scenarios, algorithms and reclaimers"},
     {"--algos", Kind::kText, &Args::algos, "A,B,...",
-     "algorithms (default: the six paper competitors)"},
+     "algorithms, ALGO@scheme for a reclaimer\n(default: the six paper "
+     "competitors)"},
     {"--threads", Kind::kGrid, &Args::threads, "1,4,16", "thread grid"},
     {"--duration-ms", Kind::kUnsigned, &Args::duration_ms, "N",
      "measured window per data point", 1, kMaxUnsigned},
     {"--runs", Kind::kUnsigned, &Args::runs, "N", "repetitions per data point",
      1, kMaxUnsigned},
-    {"--prefill", Kind::kUnsigned, &Args::prefill, "N",
-     "nodes pushed before the window opens", 0, kMaxSize},
-    {"--value-range", Kind::kUnsigned, &Args::value_range, "N",
-     "value universe for pushes", 1, kMaxSize},
     {"--seed", Kind::kUnsigned, &Args::seed, "N",
      "base seed of the per-worker op-mix RNGs", 0, kMaxU64},
     {"--pin", Kind::kChoice, &Args::pin, "none|compact|scatter|smt",
      "worker placement (best-effort; DESIGN.md §13)", 0, 0, valid_pin},
-    {"--reclaim", Kind::kText, &Args::reclaim, "SCHEME",
-     "run the ALGO@SCHEME variants (default ebr)"},
-    {"--sweep", Kind::kText, &Args::sweep, "SPEC",
-     "SEC tuning-surface cross-product, e.g.\nagg=1:5,backoff=0:4096; ranges "
-     "lo:hi[:step]"},
     {"--load", Kind::kDecimal, &Args::load, "KOPS",
      "'net_service' offered load"},
     {"--arrival", Kind::kChoice, &Args::arrival, "poisson|burst",
@@ -220,7 +209,7 @@ int list_registries() {
                     std::string(shape).c_str(), a->description.c_str(),
                     a->default_set ? "" : " [extra]");
     }
-    std::printf("reclaimers (--reclaim):\n");
+    std::printf("reclaimers (ALGO@scheme):\n");
     for (const sb::ReclaimerSpec* r : sb::ReclaimerRegistry::instance().all()) {
         std::printf("  %-18s %s\n", r->name.c_str(), r->description.c_str());
     }
@@ -276,18 +265,11 @@ int main(int argc, char** argv) {
 
     const bool run_all = std::erase(a.scenarios, "all") > 0;
     std::vector<std::string> scenarios = std::move(a.scenarios);
-    // --sweep SPEC implies the sweep scenario when none was named (so
-    // `secbench --sweep agg=1:5,backoff=0:4096` just works); with explicit
-    // scenarios it only parameterizes a `sweep` among them.
-    if (a.sweep != nullptr && scenarios.empty() && !run_all) {
-        scenarios.push_back("sweep");
-    }
     if (!run_all && scenarios.empty()) return print_help(stderr);
 
     sb::ScenarioContext ctx;
     ctx.smoke = a.smoke;
     ctx.paper = a.paper;
-    if (a.sweep != nullptr) ctx.sweep_spec = a.sweep;
     ctx.load_kops = a.load.value_or(0);
     if (a.arrival != nullptr) ctx.arrival = a.arrival;
     if (a.port) ctx.env.port = static_cast<unsigned>(*a.port);
@@ -311,17 +293,12 @@ int main(int argc, char** argv) {
         ctx.env.duration_ms = 25;
         ctx.env.runs = 1;
         ctx.env.threads = {2};
-        ctx.env.prefill = std::min<std::size_t>(ctx.env.prefill, 1000);
     }
     if (a.pin != nullptr) ctx.env.pin = a.pin;
     if (a.duration_ms) {
         ctx.env.duration_ms = static_cast<unsigned>(*a.duration_ms);
     }
     if (a.runs) ctx.env.runs = static_cast<unsigned>(*a.runs);
-    if (a.prefill) ctx.env.prefill = static_cast<std::size_t>(*a.prefill);
-    if (a.value_range) {
-        ctx.env.value_range = static_cast<std::size_t>(*a.value_range);
-    }
     if (a.seed) ctx.env.seed = *a.seed;
     if (!a.threads.empty()) {
         // A warned clamp to the live-thread bound, not a silent rewrite.
@@ -345,51 +322,9 @@ int main(int argc, char** argv) {
         }
     }
 
-    // --reclaim SCHEME: rebind the selection to the ALGO@scheme variants.
-    // "ebr" is the plain names' built-in binding, so it leaves the
-    // selection (and thus all scenario keys) untouched.
-    if (a.reclaim != nullptr && *a.reclaim != '\0') {
-        auto& rec_reg = sb::ReclaimerRegistry::instance();
-        if (rec_reg.find(a.reclaim) == nullptr) {
-            std::fprintf(stderr,
-                         "secbench: unknown reclaimer '%s'; available: %s\n",
-                         a.reclaim, rec_reg.names_csv().c_str());
-            return 2;
-        }
-        std::vector<const sb::AlgoSpec*> mapped;
-        for (const sb::AlgoSpec* spec : ctx.algos) {
-            const sb::AlgoSpec* variant =
-                algo_reg.find_variant(spec->base, a.reclaim);
-            if (variant != nullptr) {
-                // Distinct selections can map to one variant (SEC,SEC@hp
-                // --reclaim hp); run it once, not per alias.
-                if (std::find(mapped.begin(), mapped.end(), variant) ==
-                    mapped.end()) {
-                    mapped.push_back(variant);
-                }
-            } else {
-                std::fprintf(stderr,
-                             "secbench: %s has no '%s' variant; dropping "
-                             "it from the selection\n",
-                             spec->name.c_str(), a.reclaim);
-            }
-        }
-        if (mapped.empty()) {
-            std::fprintf(stderr,
-                         "secbench: no selected algorithm supports "
-                         "--reclaim %s\n",
-                         a.reclaim);
-            return 2;
-        }
-        ctx.algos = std::move(mapped);
-        ctx.reclaim = a.reclaim;
-    }
-
     // A shape-mixed selection benchmarks apples against oranges — a LIFO
     // and a FIFO structure do different work per operation — so refuse it
     // loudly instead of printing a table that invites the comparison.
-    // Checked after the --reclaim rebinding so the FINAL selection is what
-    // is judged.
     {
         std::string lifo_names, fifo_names;
         for (const sb::AlgoSpec* spec : ctx.algos) {
@@ -470,14 +405,12 @@ int main(int argc, char** argv) {
             join(scenarios, [](const std::string& s) { return s; });
         meta.algos =
             join(ctx.algos, [](const sb::AlgoSpec* a) { return a->name; });
-        meta.reclaim = ctx.reclaim;
         meta.smoke = ctx.smoke;
         meta.threads = ctx.env.threads;
         meta.duration_ms = ctx.env.duration_ms;
         meta.runs = ctx.env.runs;
         meta.repeats = reps;
         meta.prefill = ctx.env.prefill;
-        meta.value_range = ctx.env.value_range;
         meta.seed = ctx.env.seed;
         meta.pin = ctx.env.pin.empty() ? "none" : ctx.env.pin;
         current.meta = std::move(meta);

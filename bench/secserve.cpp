@@ -6,7 +6,8 @@
 // Port 0 (the default) binds an ephemeral port — the bound port is printed
 // on stdout (flushed) so a wrapper script can read it. By default the
 // event-loop thread is not pinned. Runs until SIGINT/SIGTERM, then prints the
-// server counters and exits 0.
+// server counters and exits 0, or 1 when they break
+// requests == pushes + pops + empties + stats.
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -156,15 +157,18 @@ int main(int argc, char** argv) {
 
     server.stop();
     const sec::net::ServerStats s = server.stats();
+    const bool adds_up = s.requests == s.pushes + s.pops + s.empties + s.stats;
     std::printf(
-        "secserve: served %llu requests over %llu connections "
-        "(pushes=%llu pops=%llu empties=%llu batches=%llu max_batch=%llu)\n",
-        static_cast<unsigned long long>(s.requests),
-        static_cast<unsigned long long>(s.accepted),
+        "secserve: served %llu requests %s %llu pushes + %llu pops + %llu "
+        "empties + %llu stats over %llu connections (batches=%llu "
+        "max_batch=%llu)\n",
+        static_cast<unsigned long long>(s.requests), adds_up ? "==" : "!=",
         static_cast<unsigned long long>(s.pushes),
         static_cast<unsigned long long>(s.pops),
         static_cast<unsigned long long>(s.empties),
+        static_cast<unsigned long long>(s.stats),
+        static_cast<unsigned long long>(s.accepted),
         static_cast<unsigned long long>(s.batches),
         static_cast<unsigned long long>(s.max_batch));
-    return 0;
+    return adds_up ? 0 : 1;
 }

@@ -2,7 +2,7 @@
 // statistics (batching / elimination / combining, paper Table 1).
 //
 // Every knob documents its unit, its legal range, and the paper section it
-// reproduces, so a sweep spec (`secbench --sweep`) or a hand-written Config
+// reproduces, so a sweep axis (workload/sweep.hpp) or a hand-written Config
 // can be checked against the paper without opening the implementation.
 #pragma once
 
@@ -44,7 +44,7 @@ struct Config {
     //   range: [0, kMaxFreezerBackoffNs], validate() throws above it — 0
     //   DISABLES the wait entirely (freeze immediately; the backoff branch
     //   is skipped, not a zero-length spin) · paper: §3.1; swept by
-    //   `secbench ablation_backoff` and `--sweep backoff=...`.
+    //   `secbench ablation_backoff` and `secbench sweep`.
     std::uint64_t freezer_backoff_ns = 256;
     // When true, per-batch degree counters are maintained (small overhead).
     //   paper: Table 1 metrics.

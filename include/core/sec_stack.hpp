@@ -15,7 +15,7 @@
 // (an empty pop at its read of a null top), a batched one as before. Node
 // reclamation is pluggable (sec::reclaim); EBR remains the default. K and
 // the freezer backoff are fixed per instance by its Config, as in the paper;
-// `secbench --sweep` maps the static tuning surface (DESIGN.md §5).
+// `secbench sweep` maps the static tuning surface (DESIGN.md §5).
 #pragma once
 
 #include <atomic>

@@ -37,7 +37,6 @@ class LatencyHistogram;  // workload/histogram.hpp
 // are independently reproducible and reorderable across scenarios.
 struct PhaseArgs {
     std::uint64_t seed = 1;
-    std::size_t value_range = std::size_t{1} << 20;
     OpMix mix = kUpdateHeavy;
 };
 

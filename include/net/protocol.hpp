@@ -33,7 +33,7 @@ enum class MsgType : std::uint8_t {
     kStatsResp = 6, // + u64 pushes, pops, empties, batches + u8 shape
 };
 
-// Server-side counters a kStatsResp carries (a subset of NetServerStats,
+// Server-side counters a kStatsResp carries (a subset of ServerStats,
 // the ones a remote client can act on).
 struct WireStats {
     std::uint64_t pushes = 0;

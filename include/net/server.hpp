@@ -40,10 +40,13 @@ struct ServerConfig {
 // runs (relaxed atomics — monotonic counters, no ordering contract).
 struct ServerStats {
     std::uint64_t accepted = 0;   // connections accepted over the lifetime
-    std::uint64_t requests = 0;   // frames decoded and applied
+    // Frames decoded and applied; each is one of the next four, so after
+    // stop() requests == pushes + pops + empties + stats.
+    std::uint64_t requests = 0;
     std::uint64_t pushes = 0;     // kPushReq handled
     std::uint64_t pops = 0;       // kPopReq handled, value returned
     std::uint64_t empties = 0;    // kPopReq handled, stack empty
+    std::uint64_t stats = 0;      // kStatsReq handled
     std::uint64_t batches = 0;    // epoll_wait() batches that carried work
     std::uint64_t max_batch = 0;  // most requests drained in one batch
 };
@@ -93,11 +96,13 @@ private:
     // once every complete request read is answered and flushed.
     bool pump(int fd, Conn& conn, std::uint64_t& batch_requests);
     // Decode and apply whole frames from `in` until none is left or the
-    // unflushed output reaches the high-water mark (`full`).
+    // unflushed output reaches the high-water mark (`full`). False on a
+    // frame that does not decode or is not a request.
     bool apply_frames(Conn& conn, std::uint64_t& batch_requests, bool& full);
     // Send unflushed output until done or the socket would block.
     bool flush(int fd, Conn& conn);
-    void apply(const Message& req, Conn& conn);
+    // Apply one request and encode its reply; false for a response type.
+    bool apply(const Message& req, Conn& conn);
     void close_conn(int fd);
     // epoll_ctl(op) for `fd` with the given interest. False when the kernel
     // refuses the change.
@@ -122,6 +127,7 @@ private:
     std::atomic<std::uint64_t> pushes_{0};
     std::atomic<std::uint64_t> pops_{0};
     std::atomic<std::uint64_t> empties_{0};
+    std::atomic<std::uint64_t> stats_{0};
     std::atomic<std::uint64_t> batches_{0};
     std::atomic<std::uint64_t> max_batch_{0};
 };

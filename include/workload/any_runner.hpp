@@ -32,7 +32,6 @@ LatencyHistogram run_latency_any(AnyStack& stack, const RunConfig& cfg);
 // scenario's workload). Workers are seeded from `seed` + thread id; returns
 // the aggregate throughput in Mops/s.
 double run_churn_any(AnyStack& stack, unsigned threads,
-                     std::uint64_t ops_per_thread, std::size_t value_range,
-                     std::uint64_t seed = 0);
+                     std::uint64_t ops_per_thread, std::uint64_t seed = 0);
 
 }  // namespace sec::bench

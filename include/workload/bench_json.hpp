@@ -52,14 +52,12 @@ struct Metadata {
     std::string pin;        // placement policy name ("none" when unpinned)
     std::string scenarios;  // comma-joined scenario names, run order
     std::string algos;      // comma-joined algorithm selection
-    std::string reclaim;    // --reclaim scheme ("" = default bindings)
     bool smoke = false;
     std::vector<unsigned> threads;  // thread grid
     unsigned duration_ms = 0;
     unsigned runs = 0;
     unsigned repeats = 1;  // snapshot-level repetitions (median-of-N)
     std::size_t prefill = 0;
-    std::size_t value_range = 0;
     std::uint64_t seed = 0;
 };
 

@@ -2,7 +2,8 @@
 // strict parsers the bench binaries read their flags with.
 //
 // EnvConfig holds the run defaults: a quick look of 200 ms x 1 run per data
-// point over threads {2,4,8}, after the paper's prefill of 1000 nodes.
+// point over threads {2,4,8}, after the paper's prefill of 1000 nodes
+// (which the fig3/fig4 pop-only series deepen).
 // secbench rewrites it from its presets (--paper, --smoke) and flags
 // before any scenario runs; nothing is read from the environment.
 //
@@ -25,7 +26,6 @@ struct EnvConfig {
     unsigned duration_ms = 200;
     unsigned runs = 1;
     std::size_t prefill = 1000;  // the paper's prefill
-    std::size_t value_range = std::size_t{1} << 20;
     std::uint64_t seed = 0;  // base for per-worker RNG seeds (0 = legacy)
     // sec::net target (--port). port 0 = "no external server":
     // net_service spawns its own on an ephemeral port.

@@ -103,9 +103,9 @@ private:
     std::vector<std::unique_ptr<AlgoSpec>> specs_;
 };
 
-// A reclamation scheme as registry data: its CLI name (`--reclaim hp`), a
-// one-liner, and a factory for a type-erased owning domain the reclamation
-// scenario hands to per-variant stack factories.
+// A reclamation scheme as registry data: its name (the `@hp` of `SEC@hp`),
+// a one-liner, and a factory for a type-erased owning domain the
+// reclamation scenario hands to per-variant stack factories.
 struct ReclaimerSpec {
     std::string name;         // scheme name: "ebr", "hp", "qsbr", "leak"
     std::string description;  // one-liner for `secbench --list`
@@ -117,9 +117,7 @@ public:
     static ReclaimerRegistry& instance();
     // Stable-pointer storage, same contract as AlgorithmRegistry::add.
     void add(ReclaimerSpec spec);
-    const ReclaimerSpec* find(std::string_view name) const;
     std::vector<const ReclaimerSpec*> all() const;
-    std::string names_csv() const;
 
 private:
     ReclaimerRegistry();
@@ -138,14 +136,6 @@ struct ScenarioContext {
     json::Snapshot* json = nullptr;
     bool smoke = false;                  // tiny-budget mode (secbench --smoke)
     bool paper = false;  // --paper preset applied; the preamble says so
-    // The --reclaim scheme, when given: `algos` is already rebound to its
-    // variants, and the reclamation scenario restricts its matrix to this
-    // scheme instead of sweeping all four ("" = no restriction).
-    std::string reclaim{};
-    // The --sweep spec, when given; the `sweep` scenario parses it
-    // (workload/sweep.hpp) and falls back to a small default grid when
-    // empty.
-    std::string sweep_spec{};
     // --load: offered load in Kops/s for the open-loop `net_service`
     // scenario (0 = the scenario's default).
     double load_kops = 0;

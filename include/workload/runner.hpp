@@ -35,7 +35,6 @@ struct RunConfig {
     std::chrono::milliseconds duration{200};
     std::size_t prefill = 0;
     OpMix mix = kUpdateHeavy;
-    std::size_t value_range = std::size_t{1} << 20;
     unsigned runs = 1;
     // Base seed for the per-worker op-mix RNGs (`--seed`): worker t draws
     // from phase_seed(seed, t, run), so two runs with the same seed replay
@@ -71,13 +70,16 @@ inline std::size_t prefill_share(std::size_t prefill, unsigned threads,
 
 // ---- the phases ------------------------------------------------------------
 
+// Every phase pushes values drawn uniformly from [0, kValueRange).
+inline constexpr std::uint64_t kValueRange = std::uint64_t{1} << 20;
+
 template <ConcurrentContainer S>
 void phase_prefill(S& stack, std::size_t count, const PhaseArgs& args) {
     Xoshiro256 rng(args.seed);
     for (std::size_t i = 0; i < count; ++i) {
         exec::quiesce_hook(stack);
-        stack.push(static_cast<typename S::value_type>(
-            rng.next_below(args.value_range)));
+        stack.push(
+            static_cast<typename S::value_type>(rng.next_below(kValueRange)));
     }
     exec::offline_hook(stack);
 }
@@ -114,7 +116,7 @@ std::uint64_t phase_mixed(S& stack, const PhaseArgs& args, Done done,
         if constexpr (kTimed) t0 = Clock::now();
         if (r < push_cut) {
             stack.push(static_cast<typename S::value_type>(
-                rng.next_below(args.value_range)));
+                rng.next_below(kValueRange)));
         } else if (r < pop_cut) {
             (void)stack.pop();
         } else {

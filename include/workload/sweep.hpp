@@ -1,55 +1,29 @@
 // workload/sweep.hpp — the SEC sweep engine: run_sweep measures a list of
 // (column, aggregator count, freezer backoff) points over the thread grid.
-// `fig4`, `ablation_backoff` and the --sweep cross-product are its point
-// lists, so the paper's tuning surfaces (§6/Figure 4 and the §3.1 backoff
-// sweet spot) can be regenerated on any machine and fed back into static
-// Configs (DESIGN.md §5).
-//
-//   secbench sweep --sweep agg=1:5,backoff=0:4096
-//   secbench --sweep agg=1:2,backoff=0:256 --smoke --csv sweep.csv
-//
-// Spec grammar (comma-separated knobs, each a value, an inclusive range, or
-// a stepped range):
-//   agg=3            one value
-//   agg=1:5          1,2,3,4,5          (unit step)
-//   backoff=0:4096   0,64,128,...,4096  (geometric doubling from 64ns; a 0
-//                                        lower bound contributes the
-//                                        backoff-disabled point)
-//   backoff=0:4096:1024   0,1024,2048,3072,4096  (explicit additive step)
-//   agg=5+1:2             1,2,5  ('+' unions values/ranges; the union is
-//                                 sorted and deduped, so overlapping
-//                                 segments can never inflate the
-//                                 cross-product or duplicate CSV rows)
-// Omitted knobs pin to the Config default. See REPRODUCING.md for the CSV
-// schema contract (`sweep,<threads>,agg<A>_bo<B>,<mops>`).
+// `fig4`, `ablation_backoff` and `sweep` are its point lists over the two
+// axes below, so the paper's tuning surfaces (§6/Figure 4 and the §3.1
+// backoff sweet spot) can be regenerated on any machine and fed back into
+// static Configs (DESIGN.md §5). See REPRODUCING.md for the CSV schema
+// (`sweep,<threads>,agg<A>_bo<B>,<mops>`).
 #pragma once
 
 #include <cstdint>
-#include <optional>
+#include <iterator>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "workload/registry.hpp"
 
 namespace sec::bench {
 
-struct SweepSpec {
-    std::vector<std::size_t> aggs;          // aggregator counts to sweep
-    std::vector<std::uint64_t> backoffs;    // freezer backoff windows (ns)
-
-    // Parse "agg=1:5,backoff=0:4096". Returns nullopt and sets `error` on a
-    // malformed spec (unknown knob, empty/backwards range, agg outside
-    // [1, kMaxAggregators]). Each knob's values come back sorted and
-    // deduped, whatever the '+' segments looked like. Omitted knobs default
-    // to the Config defaults.
-    static std::optional<SweepSpec> parse(std::string_view spec,
-                                          std::string* error = nullptr);
-
-    std::size_t combinations() const noexcept {
-        return aggs.size() * backoffs.size();
-    }
-};
+// The two SEC tuning axes: K aggregators, every legal count (Figure 4), and
+// the freezer backoff window in ns, 0 disabling it (§3.1). `fig4` varies K
+// at the default backoff, `ablation_backoff` the backoff at the default K,
+// and `sweep` runs their cross-product.
+inline constexpr std::size_t kAggregatorAxis[] = {1, 2, 3, 4, 5};
+inline constexpr std::uint64_t kBackoffAxisNs[] = {0,   128,  256,
+                                                   512, 1024, 4096};
+static_assert(std::size(kAggregatorAxis) == kMaxAggregators);
 
 // One column of a sweep: the SEC configuration it runs.
 struct SweepPoint {

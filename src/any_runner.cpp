@@ -39,7 +39,6 @@ RunResult run_window(AnyStack& stack, const RunConfig& cfg, unsigned run,
     pool.start([&](exec::WorkerContext& wc) {
         const unsigned t = wc.index;
         PhaseArgs args;
-        args.value_range = cfg.value_range;
         args.mix = cfg.mix;
         // Each worker loads its share of the prefill, so deep prefills
         // parallelise and (for TSI) spread across pools.
@@ -125,14 +124,12 @@ LatencyHistogram run_latency_any(AnyStack& stack, const RunConfig& cfg) {
 }
 
 double run_churn_any(AnyStack& stack, unsigned threads,
-                     std::uint64_t ops_per_thread, std::size_t value_range,
-                     std::uint64_t seed) {
+                     std::uint64_t ops_per_thread, std::uint64_t seed) {
     if (threads == 0) return 0.0;
     RunConfig cfg;
     cfg.threads = threads;
     cfg.duration = std::chrono::milliseconds(0);  // the op count ends it
     cfg.mix = kUpdateHeavy;  // balanced push/pop churn
-    cfg.value_range = value_range;
     cfg.seed = seed;
     return run_window(stack, cfg, 0,
                       [&stack, ops_per_thread](unsigned,

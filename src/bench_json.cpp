@@ -173,8 +173,6 @@ bool write_snapshot(const Snapshot& snap, const std::string& path,
     line(",\n    ");
     append_kv(out, "algos", m.algos);
     line(",\n    ");
-    append_kv(out, "reclaim", m.reclaim);
-    line(",\n    ");
     append_kv(out, "smoke", m.smoke);
     line(",\n    ");
     append_escaped(out, "threads");
@@ -192,8 +190,6 @@ bool write_snapshot(const Snapshot& snap, const std::string& path,
     append_kv(out, "repeats", static_cast<double>(m.repeats));
     line(",\n    ");
     append_kv(out, "prefill", static_cast<double>(m.prefill));
-    line(",\n    ");
-    append_kv(out, "value_range", static_cast<double>(m.value_range));
     line(",\n    ");
     append_kv(out, "seed", static_cast<double>(m.seed));
     out += "\n  },\n  \"cells\": [\n";

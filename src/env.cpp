@@ -101,10 +101,10 @@ void print_preamble(std::string_view bench_name, const EnvConfig& cfg,
     std::fprintf(stderr,
                  "== %.*s ==\n"
                  "hw_threads=%u duration_ms=%u runs=%u prefill=%zu "
-                 "value_range=%zu seed=%llu threads=[%s] pin=%s%s\n",
+                 "seed=%llu threads=[%s] pin=%s%s\n",
                  static_cast<int>(bench_name.size()), bench_name.data(),
                  std::thread::hardware_concurrency(), cfg.duration_ms,
-                 cfg.runs, cfg.prefill, cfg.value_range,
+                 cfg.runs, cfg.prefill,
                  static_cast<unsigned long long>(cfg.seed), grid.c_str(),
                  cfg.pin.empty() ? "none" : cfg.pin.c_str(),
                  paper ? " (paper mode)" : "");

@@ -8,7 +8,7 @@
 // loop spins while a send is due within kSpinMarginNs, and otherwise blocks
 // in one ppoll over all the sockets, which a reply also ends. A sleep can
 // wake up to the timer slack late, and that lateness would be billed to the
-// server as sojourn.
+// server as sojourn, so the call runs with a 1 ns slack.
 #include "net/client.hpp"
 
 #include <algorithm>
@@ -22,6 +22,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
+#include <sys/prctl.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -34,9 +35,9 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-// The loop spins when a send is due within this margin, which covers the
-// default 50 µs timer slack of a sleep with room to spare.
-constexpr std::uint64_t kSpinMarginNs = 200'000;
+// The loop spins when a send is due within this margin: the wake-up
+// latency of a sleep at 1 ns timer slack, with room to spare.
+constexpr std::uint64_t kSpinMarginNs = 20'000;
 // Replies still outstanding this long after the last send are lost.
 constexpr std::uint64_t kDrainGraceNs = 5'000'000'000;
 constexpr unsigned kPushPct = 50;  // the rest are pops
@@ -67,6 +68,23 @@ int connect_to(const std::string& host, std::uint16_t port,
     ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL, 0) | O_NONBLOCK);
     return fd;
 }
+
+// Sets the calling thread's timer slack to 1 ns for its lifetime and then
+// restores the old value.
+class TimerSlack {
+public:
+    TimerSlack() : old_(::prctl(PR_GET_TIMERSLACK, 0, 0, 0, 0)) {
+        ::prctl(PR_SET_TIMERSLACK, 1UL, 0UL, 0UL, 0UL);
+    }
+    ~TimerSlack() {
+        if (old_ > 0) ::prctl(PR_SET_TIMERSLACK, old_, 0UL, 0UL, 0UL);
+    }
+    TimerSlack(const TimerSlack&) = delete;
+    TimerSlack& operator=(const TimerSlack&) = delete;
+
+private:
+    const long old_;
+};
 
 struct Lane {
     int fd = -1;
@@ -189,6 +207,7 @@ LoopbackClientResult run_loopback_client(const LoopbackClientConfig& cfg) {
 
     // One epoch for every lane, taken after all sockets are connected so no
     // lane starts its schedule while another is still in connect().
+    const TimerSlack slack;
     const Clock::time_point epoch = Clock::now();
     std::vector<pollfd> fds(lanes.size());
     std::uint64_t last_reply_ns = 0;

@@ -73,6 +73,7 @@ ServerStats SecServer::stats() const {
     s.pushes = pushes_.load(std::memory_order_relaxed);
     s.pops = pops_.load(std::memory_order_relaxed);
     s.empties = empties_.load(std::memory_order_relaxed);
+    s.stats = stats_.load(std::memory_order_relaxed);
     s.batches = batches_.load(std::memory_order_relaxed);
     s.max_batch = max_batch_.load(std::memory_order_relaxed);
     return s;
@@ -295,16 +296,17 @@ bool SecServer::apply_frames(Conn& conn, std::uint64_t& batch_requests,
         const DecodeResult r =
             decode(conn.in.data() + off, conn.in.size() - off, req);
         if (r.status == DecodeStatus::kNeedMore) break;
-        if (r.status == DecodeStatus::kError) return false;
+        if (r.status == DecodeStatus::kError || !apply(req, conn)) {
+            return false;
+        }
         off += r.consumed;
-        apply(req, conn);
         ++batch_requests;
     }
     if (off > 0) conn.in.erase(conn.in.begin(), conn.in.begin() + off);
     return true;
 }
 
-void SecServer::apply(const Message& req, Conn& conn) {
+bool SecServer::apply(const Message& req, Conn& conn) {
     Message resp;
     resp.tag = req.tag;
     switch (req.type) {
@@ -328,6 +330,7 @@ void SecServer::apply(const Message& req, Conn& conn) {
         }
         case MsgType::kStatsReq: {
             resp.type = MsgType::kStatsResp;
+            stats_.fetch_add(1, std::memory_order_relaxed);
             resp.stats.pushes = pushes_.load(std::memory_order_relaxed);
             resp.stats.pops = pops_.load(std::memory_order_relaxed);
             resp.stats.empties = empties_.load(std::memory_order_relaxed);
@@ -337,11 +340,12 @@ void SecServer::apply(const Message& req, Conn& conn) {
             break;
         }
         default:
-            // A well-formed frame of a response type: meaningless as a
-            // request, but not a framing violation. Ignore it.
-            return;
+            // A well-formed frame of a response type: a peer that sends one
+            // does not speak the protocol.
+            return false;
     }
     encode(resp, conn.out);
+    return true;
 }
 
 bool SecServer::flush(int fd, Conn& conn) {

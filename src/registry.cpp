@@ -47,7 +47,7 @@ AnyStack make_bound_stack(const StackParams& p) {
 }
 
 // One "BASE@scheme" spec per reclaimer-capable structure: the cross-product
-// the `--reclaim` flag and the reclamation scenario's matrix select from.
+// `--algos` and the reclamation scenario's matrix select from.
 // TSI is blanket-only (see core/tsi_stack.hpp), so it has no @hp variant.
 template <reclaim::Reclaimer R>
 void register_reclaim_variants(AlgorithmRegistry& reg, int rank) {
@@ -215,25 +215,9 @@ void ReclaimerRegistry::add(ReclaimerSpec spec) {
     specs_.push_back(std::make_unique<ReclaimerSpec>(std::move(spec)));
 }
 
-const ReclaimerSpec* ReclaimerRegistry::find(std::string_view name) const {
-    for (const auto& s : specs_) {
-        if (s->name == name) return s.get();
-    }
-    return nullptr;
-}
-
 std::vector<const ReclaimerSpec*> ReclaimerRegistry::all() const {
     std::vector<const ReclaimerSpec*> out;
     for (const auto& s : specs_) out.push_back(s.get());
-    return out;
-}
-
-std::string ReclaimerRegistry::names_csv() const {
-    std::string out;
-    for (const auto& s : specs_) {
-        if (!out.empty()) out += ", ";
-        out += s->name;
-    }
     return out;
 }
 
@@ -285,7 +269,6 @@ RunConfig ScenarioContext::run_config(unsigned threads, const OpMix& mix,
     cfg.duration = std::chrono::milliseconds(e.duration_ms);
     cfg.prefill = e.prefill;
     cfg.mix = mix;
-    cfg.value_range = e.value_range;
     cfg.runs = e.runs;
     cfg.seed = e.seed;
     cfg.pin = topo::parse_pin_policy(e.pin).value_or(topo::PinPolicy::kNone);

@@ -109,7 +109,7 @@ int fig3(const ScenarioContext& ctx) {
 int fig4(const ScenarioContext& ctx) {
     SweepPlan plan;
     plan.algo = AlgorithmRegistry::instance().find("SEC");
-    for (std::size_t a = 1; a <= kMaxAggregators; ++a) {
+    for (const std::size_t a : kAggregatorAxis) {
         plan.points.push_back(
             {"SEC_Agg" + std::to_string(a), a, Config{}.freezer_backoff_ns});
     }
@@ -265,7 +265,7 @@ void reclamation_cell(const ScenarioContext& ctx, const ReclaimerSpec& scheme,
         params.threads = t;
         params.domain = &domain;
         AnyStack stack = spec.make(params);
-        mops = run_churn_any(stack, t, ops, ctx.env.value_range, ctx.env.seed);
+        mops = run_churn_any(stack, t, ops, ctx.env.seed);
         // Snapshot BEFORE draining: what the amortised path achieved.
         before = domain.stats();
         const auto d0 = std::chrono::steady_clock::now();
@@ -327,10 +327,6 @@ int reclamation(const ScenarioContext& ctx) {
     }
     auto& algo_reg = AlgorithmRegistry::instance();
     for (const ReclaimerSpec* scheme : ReclaimerRegistry::instance().all()) {
-        // --reclaim narrows the matrix to the requested scheme (the
-        // selection was already rebound to that scheme's variants, so
-        // sweeping the others would mislabel the comparison).
-        if (!ctx.reclaim.empty() && scheme->name != ctx.reclaim) continue;
         std::fprintf(stderr, "scheme %s — %s\n", scheme->name.c_str(),
                      scheme->description.c_str());
         std::uint64_t scheme_hwm = 0;
@@ -357,21 +353,8 @@ int reclamation(const ScenarioContext& ctx) {
 // ---- sweep: (agg x backoff) tuning-surface cross-product (DESIGN.md §5) ----
 
 int sweep(const ScenarioContext& ctx) {
-    std::string error;
-    // Default grid: small but 2-D, so the scenario is meaningful (and
-    // cheap) even without --sweep; smoke shrinks it further.
-    const std::string raw =
-        !ctx.sweep_spec.empty()
-            ? ctx.sweep_spec
-            : (ctx.smoke ? std::string("agg=1:2,backoff=0:256")
-                         : std::string("agg=1:4,backoff=0:1024"));
-    const auto spec = SweepSpec::parse(raw, &error);
-    if (!spec) {
-        std::fprintf(stderr, "secbench: %s\n", error.c_str());
-        return 2;
-    }
     // Sweep the SEC family: the variant from the current selection when one
-    // was selected (so --reclaim hp sweeps SEC@hp), plain SEC otherwise.
+    // was selected (so `--algos SEC@hp` sweeps SEC@hp), plain SEC otherwise.
     SweepPlan plan;
     plan.table = "sweep";
     plan.algo = AlgorithmRegistry::instance().find("SEC");
@@ -381,19 +364,18 @@ int sweep(const ScenarioContext& ctx) {
             break;
         }
     }
-    std::fprintf(stderr,
-                 "sweep: %zu combinations (%zu agg x %zu backoff) x %zu "
-                 "thread counts, algorithm %s, upd100 mix\n",
-                 spec->combinations(), spec->aggs.size(),
-                 spec->backoffs.size(), ctx.env.threads.size(),
-                 plan.algo->name.c_str());
-    for (const std::size_t aggs : spec->aggs) {
-        for (const std::uint64_t backoff : spec->backoffs) {
+    for (const std::size_t aggs : kAggregatorAxis) {
+        for (const std::uint64_t backoff : kBackoffAxisNs) {
             plan.points.push_back({"agg" + std::to_string(aggs) + "_bo" +
                                        std::to_string(backoff),
                                    aggs, backoff});
         }
     }
+    std::fprintf(stderr,
+                 "sweep: %zu (agg x backoff) points x %zu thread counts, "
+                 "algorithm %s, upd100 mix\n",
+                 plan.points.size(), ctx.env.threads.size(),
+                 plan.algo->name.c_str());
     const Table table = run_sweep(ctx, plan);
     // The argmax per thread count (the first column wins a tie), so
     // README's "choosing num_aggregators" guidance can cite real output.
@@ -419,7 +401,7 @@ int ablation_backoff(const ScenarioContext& ctx) {
     plan.table = "ablation_freezer_backoff_upd100";
     plan.algo = AlgorithmRegistry::instance().find("SEC");
     plan.collect_stats = true;
-    for (const std::uint64_t w : {0, 128, 256, 512, 1024, 4096}) {
+    for (const std::uint64_t w : kBackoffAxisNs) {
         plan.points.push_back(
             {"bo" + std::to_string(w), Config{}.num_aggregators, w});
     }
@@ -509,24 +491,27 @@ int net_service(const ScenarioContext& ctx) {
                 return 2;
             }
             // The server's own accounting, read after stop() joined its
-            // loop: each request it applied was a push, a pop or an empty
-            // pop, and each got the one reply the client read. A remote
-            // server's counters live in its own process.
+            // loop: each request it applied was a push, a pop, an empty pop
+            // or a STATS, and each got the one reply the client read. A
+            // remote server's counters live in its own process.
             std::optional<net::ServerStats> st;
             if (server) {
                 server->stop();
                 st = server->stats();
-                if (st->requests != st->pushes + st->pops + st->empties ||
+                if (st->requests !=
+                        st->pushes + st->pops + st->empties + st->stats ||
                     st->requests != r.replies) {
                     std::fprintf(
                         stderr,
                         "secbench: net_service: server applied %llu "
                         "requests as %llu pushes + %llu pops + %llu "
-                        "empties; client read %llu replies (%s, conns=%u)\n",
+                        "empties + %llu stats; client read %llu replies "
+                        "(%s, conns=%u)\n",
                         static_cast<unsigned long long>(st->requests),
                         static_cast<unsigned long long>(st->pushes),
                         static_cast<unsigned long long>(st->pops),
                         static_cast<unsigned long long>(st->empties),
+                        static_cast<unsigned long long>(st->stats),
                         static_cast<unsigned long long>(r.replies),
                         column.c_str(), t);
                     rc = 1;
@@ -640,7 +625,6 @@ int micro(const ScenarioContext& ctx) {
     };
     PhaseArgs args;
     args.seed = 42;
-    args.value_range = ctx.env.value_range;
     args.mix = kUpdateHeavy;
     for (const AlgoSpec* a : ctx.algos) {
         const double erased = erased_mixed_mops(*a, ops, args);
@@ -687,7 +671,7 @@ void register_builtin_scenarios(ScenarioRegistry& reg) {
              "algo x reclaimer matrix: throughput/limbo/drain per scheme (§4)",
              reclamation});
     reg.add({"sweep",
-             "SEC tuning surface: (agg x backoff) cross-product (--sweep)",
+             "SEC tuning surface: the 5 x 6 (agg x backoff) cross-product",
              sweep});
     reg.add({"ablation_backoff", "freezer backoff window sweep (DESIGN.md §6)",
              ablation_backoff});

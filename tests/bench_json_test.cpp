@@ -38,14 +38,12 @@ sj::Snapshot sample_snapshot() {
     s.meta.pin = "compact";
     s.meta.scenarios = "fig2,micro";
     s.meta.algos = "SEC,TRB";
-    s.meta.reclaim = "hp";
     s.meta.smoke = true;
     s.meta.threads = {2, 4};
     s.meta.duration_ms = 25;
     s.meta.runs = 1;
     s.meta.repeats = 3;
     s.meta.prefill = 1000;
-    s.meta.value_range = 1u << 20;
     s.meta.seed = 42;
     s.add("fig2_50-50", "2", "SEC", "Mops/s", 1.2345678901234567);
     s.add("fig2_50-50", "2", "TRB", "Mops/s", 0.25);
@@ -73,14 +71,12 @@ constexpr const char* kGolden = R"({
     "pin": "compact",
     "scenarios": "fig2,micro",
     "algos": "SEC,TRB",
-    "reclaim": "hp",
     "smoke": true,
     "threads": [2, 4],
     "duration_ms": 25,
     "runs": 1,
     "repeats": 3,
     "prefill": 1000,
-    "value_range": 1048576,
     "seed": 42
   },
   "cells": [

@@ -177,6 +177,36 @@ TEST(Linearizability, SecHazardHistoriesLinearizeOnBothPaths) {
         1'000'001);
 }
 
+// Threads at or past Config::max_threads have no slot and take the
+// unslotted spine path, on the same spine as the slotted ones. The rig's
+// four workers take the lowest free ids and the coordinator holds at most
+// one, so a bound of 2 leaves workers on both sides of it. stats() counts
+// only the ops of threads below the bound.
+TEST(Linearizability, SecHistoriesLinearizePastMaxThreads) {
+    sec::Config cfg;
+    cfg.max_threads = 2;
+    cfg.num_aggregators = 2;
+    cfg.collect_stats = true;
+    using Stack = sec::SecStack<Value>;
+    HistoryRig<Stack> rig([&cfg] { return std::make_unique<Stack>(cfg); });
+    std::uint64_t counted = 0, coordinator_ops = 0, rejected = 0;
+    for (std::uint64_t seed = 1; seed <= kHistories; ++seed) {
+        if (!rig.run(seed)) ++rejected;
+        const sec::StatsSnapshot s = rig.stack().stats();
+        counted += s.direct_ops + s.batched_ops;
+        coordinator_ops += seed % 3;
+    }
+    EXPECT_EQ(rejected, 0u) << "first non-linearizable history, "
+                            << rig.first_failure();
+    // The workers' ops below the bound: the counted ones, less the
+    // coordinator's pushes when it holds a slot too.
+    const std::uint64_t below =
+        counted - (sec::detail::tid() < cfg.max_threads ? coordinator_ops : 0);
+    EXPECT_GT(below, 0u) << "no worker below the bound ran an op";
+    EXPECT_LT(below, kHistories * kThreads * kOpsPerThread)
+        << "no worker past the bound ran an op";
+}
+
 // Every registry row that declares stack order, each reclaimer binding
 // included, as the registry builds it: a row that claims `lifo` must give
 // it.

@@ -21,6 +21,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <sys/prctl.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <unistd.h>
@@ -292,13 +293,20 @@ TEST(NetLoopback, DropsProtocolViolatorsWithoutDyingItself) {
     std::string err;
     ASSERT_TRUE(server.start(&err)) << err;
 
-    // A garbage-spewing connection must be dropped...
+    // A garbage-spewing connection must be dropped, and so must one that
+    // sends a well-formed frame of a response type...
     SyncClient bad;
     ASSERT_TRUE(bad.connect_to(server.port()));
     Message resp;
     Message garbage;
     garbage.type = static_cast<MsgType>(0);  // encodes a zero-length frame
     EXPECT_FALSE(bad.roundtrip(garbage, resp));
+    SyncClient backwards;
+    ASSERT_TRUE(backwards.connect_to(server.port()));
+    Message reply;
+    reply.type = MsgType::kPushResp;
+    reply.ok = true;
+    EXPECT_FALSE(backwards.roundtrip(reply, resp));
 
     // ...while a well-behaved one on the same server keeps working.
     SyncClient good;
@@ -309,7 +317,12 @@ TEST(NetLoopback, DropsProtocolViolatorsWithoutDyingItself) {
     ASSERT_TRUE(good.roundtrip(req, resp));
     EXPECT_EQ(resp.type, MsgType::kStatsResp);
 
+    // Only the STATS counts as a request.
     server.stop();
+    const ServerStats stats = server.stats();
+    EXPECT_EQ(stats.requests,
+              stats.pushes + stats.pops + stats.empties + stats.stats);
+    EXPECT_EQ(stats.stats, 1u);
 }
 
 // Replies the kernel will not take yet stay buffered, and write interest
@@ -503,7 +516,8 @@ TEST(NetLoopback, PeerResetMidReplyLeavesTheServerServing) {
 
     server.stop();
     const ServerStats stats = server.stats();
-    EXPECT_EQ(stats.requests, stats.pushes + stats.pops + stats.empties);
+    EXPECT_EQ(stats.requests,
+              stats.pushes + stats.pops + stats.empties + stats.stats);
     EXPECT_EQ(stats.pushes, 100u);
     EXPECT_EQ(stats.pops, 100u);
     EXPECT_EQ(stats.empties, kRequests);
@@ -523,7 +537,10 @@ TEST(NetLoopback, LoopbackDriverLosesZeroReplies) {
     cfg.duration = std::chrono::milliseconds(150);
     cfg.seed = 42;
 
+    // The client paces at 1 ns timer slack and hands the caller's back.
+    const int slack = ::prctl(PR_GET_TIMERSLACK, 0, 0, 0, 0);
     const LoopbackClientResult res = run_loopback_client(cfg);
+    EXPECT_EQ(::prctl(PR_GET_TIMERSLACK, 0, 0, 0, 0), slack);
     ASSERT_TRUE(res.ok) << res.error;
     EXPECT_GT(res.sent, 0u);
     EXPECT_EQ(res.replies, res.sent);

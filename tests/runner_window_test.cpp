@@ -88,7 +88,7 @@ TEST(RunnerWindow, LatencyRunnerRecordsTheStraddlingOp) {
 // is at most 2 ops per 100 ms.
 TEST(RunnerWindow, ChurnRunnerDividesByTheWorkersSpan) {
     sec::AnyStack stack = sb::erase_stack(std::make_unique<SlowOpStack>());
-    const double mops = sb::run_churn_any(stack, 1, 2, 1024);
+    const double mops = sb::run_churn_any(stack, 1, 2);
     EXPECT_GT(mops, 0.0);
     EXPECT_LE(mops, 2.0 / 100'000.0);
 }

@@ -60,7 +60,7 @@ TEST(SecConfigTest, AcceptsAllAggregatorCounts) {
 // default K = 4, max_threads = kMaxThreads (512) puts ids 0-127, and so
 // every worker here, on one aggregator; max_threads 8 gives each pair of
 // ids its own.
-TEST(SecConfigTest, MappingModesPreserveSemantics) {
+TEST(SecConfigTest, OneAggregatorOrSeveralKeepEveryPush) {
     for (std::size_t max_threads : {sec::kMaxThreads, std::size_t{8}}) {
         sec::Config cfg;
         cfg.max_threads = max_threads;

@@ -1,5 +1,6 @@
 // stack_stress_test.cpp — multi-threaded conservation invariants for every
-// container: under balanced churn at 2/4/8 threads, every popped value was
+// container: under balanced churn at 2/4/8 threads, and for the SEC
+// containers at 8 threads over a thread bound of 2, every popped value was
 // pushed exactly once (no loss, no duplication, no invention). Tagging and
 // the conservation oracle live in container_checkers.hpp, shared with the
 // shape-conformance suite. Designed to run clean under -DSEC_SANITIZE=thread.
@@ -51,6 +52,19 @@ TYPED_TEST(StackStressTest, BalancedChurn4Threads) {
 
 TYPED_TEST(StackStressTest, BalancedChurn8Threads) {
     churn<TypeParam>(8, 10000);
+}
+
+// The SEC containers with more workers than Config::max_threads: at least
+// six of the eight have no slot and take the unslotted path, on the same
+// structure as the ones that batch.
+template <class S>
+class PastMaxThreadsTest : public ::testing::Test {};
+using SecTypes = ::testing::Types<sec::SecStack<Value>, sec::SecQueue<Value>>;
+TYPED_TEST_SUITE(PastMaxThreadsTest, SecTypes);
+
+TYPED_TEST(PastMaxThreadsTest, BalancedChurn8ThreadsOverABoundOf2) {
+    auto stack = sec::make_stack<TypeParam>(2);
+    st::expect_conserved(st::churn(*stack, 8, 10000));
 }
 
 }  // namespace
