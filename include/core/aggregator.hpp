@@ -100,7 +100,10 @@ public:
         for (;;) {
             std::uint32_t st = slot.state.load(std::memory_order_acquire);
             if (st >= kDonePushed) return consume(slot, st);
-            if (agg.lock.exchange(1, std::memory_order_acquire) == 0) {
+            // Test, then test-and-set: a waiter that only reads leaves the
+            // lock line shared while the freezer works.
+            if (agg.lock.load(std::memory_order_relaxed) == 0 &&
+                agg.lock.exchange(1, std::memory_order_acquire) == 0) {
                 // We are the freezer. A previous freezer may have served us
                 // between our load and the lock; only combine while our own
                 // op is still open.
@@ -170,7 +173,8 @@ public:
         for (std::size_t a = 0; a < num_aggs_; ++a) {
             Agg& agg = aggs_[a];
             Backoff backoff;
-            while (agg.lock.exchange(1, std::memory_order_acquire) != 0) {
+            while (agg.lock.load(std::memory_order_relaxed) != 0 ||
+                   agg.lock.exchange(1, std::memory_order_acquire) != 0) {
                 backoff.pause();
             }
             s.batches += agg.batches.load(std::memory_order_relaxed);
@@ -209,8 +213,12 @@ private:
     };
 
     struct alignas(kCacheLineSize) Agg {
+        // Alone on its line: waiters spin on it, while the freezer reads
+        // the members and scratch pointers below from a line they never
+        // touch.
         std::atomic<std::uint32_t> lock{0};
-        std::vector<std::uint32_t> tids;  // member thread ids, ascending
+        // Member thread ids, ascending.
+        alignas(kCacheLineSize) std::vector<std::uint32_t> tids;
         // Scratch for the freezer, one entry per member; guarded by `lock`.
         std::unique_ptr<std::uint32_t[]> scratch_push;
         std::unique_ptr<std::uint32_t[]> scratch_pop;

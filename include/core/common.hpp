@@ -105,17 +105,35 @@ private:
 
 namespace detail {
 
+inline constexpr std::size_t kNoTid = ~std::size_t{0};
+
+// The calling thread's id once it has one, else kNoTid. Constant-initialised,
+// so reading it is one thread-pointer-relative load with no init guard.
+inline constinit thread_local std::size_t t_tid = kNoTid;
+
+// The registry's slow path (src/thread_registry.cpp): acquires the calling
+// thread's id, caches it in t_tid, and releases both at thread exit.
+std::size_t acquire_tid() noexcept;
+
 // Process-wide small thread id in [0, kMaxThreads). Ids are recycled when the
 // owning thread exits, so sequential test cases and bench phases reuse the low
-// ids instead of marching past every per-thread array bound.
-std::size_t tid() noexcept;
+// ids instead of marching past every per-thread array bound. A pop asks for
+// it up to four times (the stack, the reclaimer's enter, exit and retire), so
+// only a thread's first call leaves this function.
+inline std::size_t tid() noexcept {
+    const std::size_t id = t_tid;
+    return SEC_LIKELY(id != kNoTid) ? id : acquire_tid();
+}
 
 // Monotonic high-water mark over every id tid() has handed out: all live
 // thread ids are < tid_hwm(). Lets slot scans stop at the live prefix
-// instead of walking max_threads entries. Relaxed — a freezer with a stale
-// (smaller) view can only miss a BRAND-NEW thread's first operation, whose
-// owner re-drives its own aggregator until served (the execute retry loop),
-// and that owner's view includes itself by construction.
+// instead of walking kMaxThreads entries. The registry stores it seq_cst
+// before a new thread's first tid() returns, and this load is seq_cst too,
+// which is what lets the reclaimers' scans stop here (epoch_core.cpp,
+// hazard.cpp). A freezer with a stale (smaller) view can only miss a
+// BRAND-NEW thread's first operation, whose owner re-drives its own
+// aggregator until served (the execute retry loop), and that owner's view
+// includes itself by construction.
 std::size_t tid_hwm() noexcept;
 
 inline void cpu_relax() noexcept {

@@ -35,7 +35,7 @@ public:
     // announced this drains the entire limbo backlog.
     void drain_all();
 
-    Stats stats() const noexcept { return counters_.snapshot(); }
+    Stats stats() const noexcept { return mark_.sample(limbo_); }
 
     std::uint64_t epoch() const noexcept {
         return global_epoch_.load(std::memory_order_acquire);
@@ -80,13 +80,18 @@ private:
         std::uint32_t nesting = 0;  // owned by the announcing thread
     };
 
+    // The owner's retire path holds `lock` and writes only this line.
     struct alignas(kCacheLineSize) LimboList {
         std::atomic_flag lock = ATOMIC_FLAG_INIT;
+        std::uint32_t retires_since_scan = 0;
         Chunk* head = nullptr;  // oldest
         Chunk* tail = nullptr;  // newest (append target)
-        std::uint32_t retires_since_scan = 0;
+        RetireCounts counts;
     };
+    static_assert(sizeof(LimboList) == kCacheLineSize);
 
+    // Both scans stop at tid_hwm(), loaded after the epoch; see
+    // validated_announce for why a thread they miss is safe.
     bool try_advance() noexcept;
     bool any_active() const noexcept;
     // Announce epoch `e` with the store/re-read loop that closes the window
@@ -95,8 +100,10 @@ private:
     // Free nodes in limbo_[i] with epoch+2 <= limit (limit==kInactive: all).
     void sweep(std::size_t i, std::uint64_t limit);
 
-    std::atomic<std::uint64_t> global_epoch_{2};
-    Accounting counters_;
+    // Read by every announcement, written once per advance: its line holds
+    // nothing a retire or a guard writes.
+    alignas(kCacheLineSize) std::atomic<std::uint64_t> global_epoch_{2};
+    LimboMark mark_;
     Reservation reservations_[kMaxThreads];
     LimboList limbo_[kMaxThreads];
 };

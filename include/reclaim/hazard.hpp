@@ -11,7 +11,7 @@
 // time.
 //
 // Frees are batched: every kScanInterval retires, the retiring thread scans
-// the hazard slots of all threads seen so far and frees its own retired
+// the hazard slots of every id below tid_hwm() and frees its own retired
 // backlog minus the protected set. Memory in limbo is therefore bounded by
 // threads x kScanInterval + live hazards, independent of run length — the
 // tightest bound of the four schemes, paid for with two ordered stores per
@@ -41,9 +41,7 @@ public:
     class Guard {
     public:
         explicit Guard(HazardDomain& d) noexcept
-            : d_(d), id_(sec::detail::tid()) {
-            d_.note_thread(id_);
-        }
+            : d_(d), id_(sec::detail::tid()) {}
         ~Guard() { clear(); }
         Guard(const Guard&) = delete;
         Guard& operator=(const Guard&) = delete;
@@ -113,7 +111,7 @@ public:
     // hazard-protected somewhere.
     void drain_all();
 
-    Stats stats() const noexcept { return counters_.snapshot(); }
+    Stats stats() const noexcept { return mark_.sample(lists_); }
 
     // Hazard slots carry the protection; the runner hooks are no-ops.
     void quiesce() noexcept {}
@@ -127,27 +125,19 @@ private:
         std::atomic<void*> hp[kSlotsPerThread] = {};
     };
 
+    // The owner's retire path holds `lock` and writes only this line.
     struct alignas(kCacheLineSize) RetiredList {
         std::atomic_flag lock = ATOMIC_FLAG_INIT;
-        std::vector<detail::RetiredPtr> items;
         std::uint32_t retires_since_scan = 0;
+        std::vector<detail::RetiredPtr> items;
+        detail::RetireCounts counts;
     };
-
-    // Record `id` in the scanned-thread bound (ids are small and recycled,
-    // so the bound stays near the live thread count).
-    void note_thread(std::size_t id) noexcept {
-        std::size_t bound = tid_bound_.load(std::memory_order_relaxed);
-        while (id >= bound &&
-               !tid_bound_.compare_exchange_weak(bound, id + 1,
-                                                 std::memory_order_seq_cst)) {
-        }
-    }
+    static_assert(sizeof(RetiredList) == kCacheLineSize);
 
     void collect_hazards(std::vector<void*>& out) const;
     void scan(std::size_t id);
 
-    detail::Accounting counters_;
-    std::atomic<std::size_t> tid_bound_{0};  // exclusive bound on ids seen
+    detail::LimboMark mark_;
     SlotBlock slots_[kMaxThreads];
     RetiredList lists_[kMaxThreads];
 };

@@ -31,11 +31,10 @@ public:
 
     LeakyDomain() = default;
     ~LeakyDomain() {
-        std::uint64_t freed = 0;
-        for (RetiredList& list : lists_) {
-            freed += detail::free_backlog(list.items);
+        const std::size_t live = sec::detail::tid_hwm();
+        for (std::size_t i = 0; i < live; ++i) {
+            lists_[i].counts.note_freed(detail::free_backlog(lists_[i].items));
         }
-        counters_.note_freed(freed);
     }
 
     LeakyDomain(const LeakyDomain&) = delete;
@@ -48,15 +47,17 @@ public:
 
     void retire_erased(void* p, void (*deleter)(void*)) {
         const std::size_t id = sec::detail::tid();
-        counters_.note_retired();
         detail::SpinLockGuard lock(lists_[id].lock);
+        lists_[id].counts.note_retired();
         lists_[id].items.push_back({p, deleter});
     }
 
     // Deliberate no-op; see the header comment.
     void drain_all() noexcept {}
 
-    Stats stats() const noexcept { return counters_.snapshot(); }
+    // Limbo only grows until destruction, so this sample of the mark is the
+    // peak; there is no scan to take one.
+    Stats stats() const noexcept { return mark_.sample(lists_); }
 
     void quiesce() noexcept {}
     void offline() noexcept {}
@@ -65,9 +66,11 @@ private:
     struct alignas(kCacheLineSize) RetiredList {
         std::atomic_flag lock = ATOMIC_FLAG_INIT;
         std::vector<detail::RetiredPtr> items;
+        detail::RetireCounts counts;
     };
+    static_assert(sizeof(RetiredList) == kCacheLineSize);
 
-    detail::Accounting counters_;
+    detail::LimboMark mark_;
     RetiredList lists_[kMaxThreads];
 };
 

@@ -20,6 +20,7 @@
 // at compile time.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <concepts>
 #include <cstdint>
@@ -31,13 +32,14 @@
 
 namespace sec::reclaim {
 
-// One consistent accounting snapshot. `freed` is loaded before `retired`
-// (and clamped), so `in_limbo()` can never wrap to a huge value the way two
-// independently-loaded counters can when a free lands between the loads.
+// One consistent accounting snapshot, summed over per-thread counts. Each
+// thread's `freed` is loaded before its `retired`, so `in_limbo()` can never
+// wrap to a huge value the way two independently-loaded counters can when a
+// free lands between the loads (detail::LimboMark).
 struct Stats {
     std::uint64_t retired = 0;    // handed to retire() so far
     std::uint64_t freed = 0;      // deleters actually run
-    std::uint64_t limbo_hwm = 0;  // high-water mark of retired - freed
+    std::uint64_t limbo_hwm = 0;  // sampled high-water mark of retired - freed
 
     std::uint64_t in_limbo() const noexcept { return retired - freed; }
 };
@@ -165,16 +167,6 @@ struct SpinLockGuard {
     std::atomic_flag& flag;
 };
 
-// CAS-max of `candidate` into `hwm` (the limbo high-water mark tracker).
-inline void raise_hwm(std::atomic<std::uint64_t>& hwm,
-                      std::uint64_t candidate) noexcept {
-    std::uint64_t cur = hwm.load(std::memory_order_relaxed);
-    while (candidate > cur &&
-           !hwm.compare_exchange_weak(cur, candidate,
-                                      std::memory_order_relaxed)) {
-    }
-}
-
 // The read-side guard of every blanket-protection scheme: any pointer
 // reachable while the guard lives is safe to dereference, so protect() is a
 // plain load and publish()/validate() compile away. The single definition
@@ -222,42 +214,68 @@ inline std::uint64_t free_backlog(std::vector<RetiredPtr>& items) {
     return n;
 }
 
-// Shared retired/freed/high-water accounting for every domain. snapshot()
-// is the single home of the ordering-sensitive one-call Stats read: freed
-// is loaded BEFORE retired (freed <= retired holds at every instant, so the
-// later-loaded retired can only be >= the earlier-loaded freed) and clamped,
-// which is what keeps in_limbo() from wrapping when a free lands between
-// the loads. Domains must not re-implement this read.
-class Accounting {
-public:
-    // Call before the retired entry becomes freeable by a concurrent
-    // sweep/scan: freed must never be observable above retired.
+// Per-thread retire accounting, one mechanism for every scheme: each
+// domain's per-thread list (LimboList, RetiredList) embeds one, on the line
+// its retire path already holds locked, so a retire writes no shared line.
+struct RetireCounts {
+    std::atomic<std::uint64_t> retired{0};
+    std::atomic<std::uint64_t> freed{0};
+
+    // The owner, under its list's lock, before the entry is appended and so
+    // before any sweep can free it: freed must never be observable above
+    // retired. One writer, so a plain load and store.
     void note_retired() noexcept {
-        const std::uint64_t r =
-            retired_.fetch_add(1, std::memory_order_acq_rel) + 1;
-        const std::uint64_t f = freed_.load(std::memory_order_acquire);
-        // `f` can race past our `r` sample while other threads retire and
-        // free, so clamp before tracking the high-water mark.
-        if (r > f) raise_hwm(hwm_, r - f);
+        retired.store(retired.load(std::memory_order_relaxed) + 1,
+                      std::memory_order_relaxed);
     }
 
+    // Whoever ran the deleters: the owner's scan, or a drain_all() sweep
+    // that may race it, hence the RMW (once per scan, on the owner's line).
+    // The release pairs with LimboMark::sample's acquire of `freed`.
     void note_freed(std::uint64_t n) noexcept {
-        if (n > 0) freed_.fetch_add(n, std::memory_order_acq_rel);
+        if (n > 0) freed.fetch_add(n, std::memory_order_release);
     }
+};
 
-    Stats snapshot() const noexcept {
+// The one-call Stats read over a domain's per-thread lists, and the sampled
+// limbo high-water mark. sample() sums every list below tid_hwm() (all ids
+// ever handed out are below it), reading each list's freed BEFORE its
+// retired: the retires behind a list's freed count happen-before the
+// release that published it, so the later-loaded retired is at least as
+// large and no term of in_limbo() can wrap. Domains must not re-implement
+// this read.
+//
+// limbo_hwm is the largest in_limbo() of those sums, taken at each
+// amortised scan and at each stats(). It is sampled, not exact: it can read
+// low by at most the retires since each live thread's last scan, i.e.
+// kScanInterval x live threads, high by the frees that land while one sum
+// walks the lists, and it never exceeds retired. LeakyDomain never scans,
+// but its limbo only grows, so its stats() sample is the peak. The mark is
+// the only domain-wide word a domain writes outside drains, so it sits on a
+// line of its own.
+class alignas(kCacheLineSize) LimboMark {
+public:
+    template <class List>
+    Stats sample(const List* lists) const noexcept {
         Stats s;
-        s.freed = freed_.load(std::memory_order_acquire);  // first; see above
-        s.retired = retired_.load(std::memory_order_acquire);
-        s.limbo_hwm = hwm_.load(std::memory_order_relaxed);
-        if (s.freed > s.retired) s.freed = s.retired;  // belt and braces
+        const std::size_t live = sec::detail::tid_hwm();
+        for (std::size_t i = 0; i < live; ++i) {
+            const RetireCounts& c = lists[i].counts;
+            const std::uint64_t f = c.freed.load(std::memory_order_acquire);
+            s.retired += c.retired.load(std::memory_order_acquire);
+            s.freed += f;
+        }
+        std::uint64_t cur = hwm_.load(std::memory_order_relaxed);
+        while (s.in_limbo() > cur &&
+               !hwm_.compare_exchange_weak(cur, s.in_limbo(),
+                                           std::memory_order_relaxed)) {
+        }
+        s.limbo_hwm = std::max(cur, s.in_limbo());
         return s;
     }
 
 private:
-    std::atomic<std::uint64_t> retired_{0};
-    std::atomic<std::uint64_t> freed_{0};
-    std::atomic<std::uint64_t> hwm_{0};
+    mutable std::atomic<std::uint64_t> hwm_{0};
 };
 
 }  // namespace detail

@@ -5,9 +5,25 @@
 namespace sec::reclaim::detail {
 
 EpochCore::~EpochCore() {
-    for (std::size_t i = 0; i < kMaxThreads; ++i) sweep(i, kInactive);
+    // Every list that was ever appended to belongs to an id below the mark.
+    const std::size_t live = sec::detail::tid_hwm();
+    for (std::size_t i = 0; i < live; ++i) sweep(i, kInactive);
 }
 
+// Why the advance scans may stop at tid_hwm(). A thread T that takes a new
+// id stores the mark (seq_cst, in the registry) before its first call here,
+// and its slot store and epoch re-read below are seq_cst too. An advancer A
+// loads the epoch, then the mark, both seq_cst. If A's mark is too small to
+// cover T, A's mark load precedes T's mark store in the single total order
+// of seq_cst operations, so A's epoch load e_A precedes T's re-read, and T
+// settles on an epoch e_T >= e_A. Either e_T > e_A, and A's CAS from e_A
+// fails or passes an epoch T never announced, or e_T == e_A, and A moves the
+// epoch to e_T + 1, which a full scan would also have allowed (T's slot
+// equals the epoch). Any later advancer reads e_T + 1 or more, and that load
+// follows T's re-read, or T would not have settled on e_T; so it also loads
+// a mark that covers T, sees the straggler and stops. At most one advance
+// passes a thread the scan missed, and the sweep's `+ 2 <` bound already
+// tolerates one.
 void EpochCore::validated_announce(std::atomic<std::uint64_t>& slot) noexcept {
     // Announce the current epoch; re-read to close the window where the
     // global epoch moves between our load and our announcement (an advancing
@@ -54,8 +70,10 @@ void EpochCore::set_offline() noexcept {
 
 bool EpochCore::try_advance() noexcept {
     const std::uint64_t e = global_epoch_.load(std::memory_order_seq_cst);
-    for (const Reservation& res : reservations_) {
-        const std::uint64_t v = res.epoch.load(std::memory_order_seq_cst);
+    const std::size_t live = sec::detail::tid_hwm();  // after e; see above
+    for (std::size_t i = 0; i < live; ++i) {
+        const std::uint64_t v =
+            reservations_[i].epoch.load(std::memory_order_seq_cst);
         if (v != kInactive && v != e) return false;  // straggler in an old epoch
     }
     std::uint64_t expected = e;
@@ -65,8 +83,12 @@ bool EpochCore::try_advance() noexcept {
 }
 
 bool EpochCore::any_active() const noexcept {
-    for (const Reservation& res : reservations_) {
-        if (res.epoch.load(std::memory_order_seq_cst) != kInactive) return true;
+    const std::size_t live = sec::detail::tid_hwm();
+    for (std::size_t i = 0; i < live; ++i) {
+        if (reservations_[i].epoch.load(std::memory_order_seq_cst) !=
+            kInactive) {
+            return true;
+        }
     }
     return false;
 }
@@ -109,19 +131,19 @@ void EpochCore::sweep(std::size_t i, std::uint64_t limit) {
         delete reclaim;
         reclaim = next;
     }
-    counters_.note_freed(freed);
+    list.counts.note_freed(freed);
 }
 
 void EpochCore::retire_erased(void* p, void (*deleter)(void*)) {
     const std::size_t id = sec::detail::tid();
     const std::uint64_t epoch = global_epoch_.load(std::memory_order_acquire);
-    // Count before the entry is appended (and thus freeable by a concurrent
-    // sweep); see Accounting::note_retired.
-    counters_.note_retired();
     bool scan = false;
     {
         LimboList& list = limbo_[id];
         SpinLockGuard lock(list.lock);
+        // Count before the entry is appended (and thus freeable by a
+        // concurrent sweep); see RetireCounts::note_retired.
+        list.counts.note_retired();
         if (list.tail == nullptr || list.tail->count == kChunkSize) {
             auto* chunk = new Chunk;  // default-init: skip zeroing entries[]
             if (list.tail != nullptr) {
@@ -138,6 +160,7 @@ void EpochCore::retire_erased(void* p, void (*deleter)(void*)) {
         }
     }
     if (scan) {
+        (void)mark_.sample(limbo_);  // before the sweep: the backlog's peak
         try_advance();
         sweep(id, global_epoch_.load(std::memory_order_acquire));
     }
@@ -149,7 +172,8 @@ void EpochCore::drain_all() {
     for (int i = 0; i < 4; ++i) try_advance();
     const std::uint64_t e = global_epoch_.load(std::memory_order_acquire);
     const bool quiescent = !any_active();
-    for (std::size_t i = 0; i < kMaxThreads; ++i) {
+    const std::size_t live = sec::detail::tid_hwm();
+    for (std::size_t i = 0; i < live; ++i) {
         sweep(i, quiescent ? kInactive : e);
     }
 }

@@ -8,16 +8,19 @@ namespace sec::reclaim {
 HazardDomain::~HazardDomain() {
     // Contract: no Guard may outlive the domain, so every backlog entry is
     // freeable regardless of what the (dead) slots still say.
-    std::uint64_t freed = 0;
-    for (RetiredList& list : lists_) {
-        freed += detail::free_backlog(list.items);
+    const std::size_t live = sec::detail::tid_hwm();
+    for (std::size_t i = 0; i < live; ++i) {
+        lists_[i].counts.note_freed(detail::free_backlog(lists_[i].items));
     }
-    counters_.note_freed(freed);
 }
 
 void HazardDomain::collect_hazards(std::vector<void*>& out) const {
-    const std::size_t bound =
-        std::min(tid_bound_.load(std::memory_order_seq_cst), kMaxThreads);
+    // The registry stores the mark seq_cst before a reader's first publish,
+    // and the publish and its revalidation are seq_cst too. So a scan whose
+    // seq_cst load of the mark misses a reader precedes that reader's
+    // revalidation, which sees the unlink that preceded this scan's backlog
+    // swap: the reader retries, and never holds what we free.
+    const std::size_t bound = sec::detail::tid_hwm();
     out.reserve(bound * kSlotsPerThread);
     for (std::size_t t = 0; t < bound; ++t) {
         // One SlotBlock per cache line: start the next thread's line while
@@ -63,28 +66,29 @@ void HazardDomain::scan(std::size_t id) {
         lists_[id].items.insert(lists_[id].items.end(), keep.begin(),
                                 keep.end());
     }
-    counters_.note_freed(freed);
+    lists_[id].counts.note_freed(freed);
 }
 
 void HazardDomain::retire_erased(void* p, void (*deleter)(void*)) {
     const std::size_t id = sec::detail::tid();
-    note_thread(id);
-    counters_.note_retired();
     bool scan_now = false;
     {
         detail::SpinLockGuard lock(lists_[id].lock);
+        lists_[id].counts.note_retired();  // before the entry is freeable
         lists_[id].items.push_back({p, deleter});
         if (++lists_[id].retires_since_scan >= kScanInterval) {
             lists_[id].retires_since_scan = 0;
             scan_now = true;
         }
     }
-    if (scan_now) scan(id);
+    if (scan_now) {
+        (void)mark_.sample(lists_);  // before the scan: the backlog's peak
+        scan(id);
+    }
 }
 
 void HazardDomain::drain_all() {
-    const std::size_t bound =
-        std::min(tid_bound_.load(std::memory_order_seq_cst), kMaxThreads);
+    const std::size_t bound = sec::detail::tid_hwm();
     for (std::size_t id = 0; id < bound; ++id) scan(id);
 }
 

@@ -313,8 +313,9 @@ int reclamation(const ScenarioContext& ctx) {
     std::printf(
         "# balanced push/pop churn per reclamation scheme; 'freed-in-run' is\n"
         "# reclamation DURING the run (amortised advancement / scan batches),\n"
-        "# 'limbo-hwm' the peak unreclaimed backlog, 'drain' the cost of\n"
-        "# drain_all() once the workers are quiet (a no-op for 'leak')\n");
+        "# 'limbo-hwm' the peak unreclaimed backlog, sampled at each scan\n"
+        "# (DESIGN §4), 'drain' the cost of drain_all() once the workers\n"
+        "# are quiet (a no-op for 'leak')\n");
     const std::vector<unsigned> grid =
         ctx.smoke ? std::vector<unsigned>{2u} : std::vector<unsigned>{4u, 16u};
     // The selected algorithms' families, deduped in legend order (selecting

@@ -18,8 +18,11 @@ std::size_t acquire_id() {
     for (std::size_t i = 0; i < kMaxThreads; ++i) {
         if (!g_in_use.test(i)) {
             g_in_use.set(i);
+            // seq_cst, and before the id is returned: a reclaimer scan that
+            // loads a mark too small to cover this thread must have loaded
+            // it before this thread's first announcement (epoch_core.cpp).
             if (i + 1 > g_hwm.load(std::memory_order_relaxed)) {
-                g_hwm.store(i + 1, std::memory_order_relaxed);
+                g_hwm.store(i + 1, std::memory_order_seq_cst);
             }
             return i;
         }
@@ -37,18 +40,22 @@ void release_id(std::size_t id) noexcept {
 
 struct TidHolder {
     std::size_t id = acquire_id();
-    ~TidHolder() { release_id(id); }
+    TidHolder() { t_tid = id; }
+    ~TidHolder() {
+        release_id(id);
+        t_tid = kNoTid;
+    }
 };
 
 }  // namespace
 
-std::size_t tid() noexcept {
+std::size_t acquire_tid() noexcept {
     thread_local TidHolder holder;
     return holder.id;
 }
 
 std::size_t tid_hwm() noexcept {
-    return g_hwm.load(std::memory_order_relaxed);
+    return g_hwm.load(std::memory_order_seq_cst);
 }
 
 }  // namespace sec::detail

@@ -1,8 +1,9 @@
 // reclaim_conformance_test.cpp — the typed contract every sec::reclaim
 // scheme must honour: accounting snapshots never underflow under concurrent
 // churn, drain_all() empties limbo once all protection is released (except
-// the deliberately-leaky baseline), protected pointers survive a drain,
-// destruction frees everything, and a reclaimer-templated stack survives
+// the deliberately-leaky baseline), protected pointers survive a drain, even
+// when a brand-new thread holds them, destruction frees everything, and a
+// reclaimer-templated stack survives
 // multi-threaded churn (run under TSan/ASan in CI, where a use-after-free
 // or a premature free shows up as a race / heap error).
 #include <gtest/gtest.h>
@@ -10,6 +11,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <memory>
+#include <thread>  // std::this_thread::yield
 #include <vector>
 
 #include "exec/worker_pool.hpp"
@@ -36,7 +39,8 @@ TYPED_TEST_SUITE(ReclaimConformanceTest, AllReclaimers);
 
 // retired == freed + limbo at every sampled instant (the Stats snapshot is
 // taken in one call, so a concurrent free between two loads cannot make
-// in_limbo() wrap to a huge value), and exactly at the end.
+// in_limbo() wrap to a huge value), and exactly at the end. The sampled
+// limbo_hwm covers every snapshot's limbo and never exceeds retired.
 TYPED_TEST(ReclaimConformanceTest, AccountingBalancesUnderChurn) {
     using R = TypeParam;
     R domain;
@@ -52,6 +56,7 @@ TYPED_TEST(ReclaimConformanceTest, AccountingBalancesUnderChurn) {
             const rc::Stats s = domain.stats();
             ASSERT_LE(s.freed, s.retired);
             ASSERT_LE(s.in_limbo(), s.retired);  // no wrap-around monster
+            ASSERT_LE(s.in_limbo(), s.limbo_hwm);
         }
     });
 
@@ -74,6 +79,7 @@ TYPED_TEST(ReclaimConformanceTest, AccountingBalancesUnderChurn) {
     EXPECT_EQ(s.retired, kThreads * kPerThread);
     EXPECT_EQ(s.retired, s.freed + s.in_limbo());
     EXPECT_GT(s.limbo_hwm, 0u);
+    EXPECT_LE(s.limbo_hwm, s.retired);
     if constexpr (R::kDrainsOnDemand) {
         // The amortised path must reclaim during the run, not defer
         // everything to destruction.
@@ -127,6 +133,67 @@ TYPED_TEST(ReclaimConformanceTest, ProtectedPointerSurvivesDrain) {
     } else {
         EXPECT_EQ(destroyed.load(), 0u);  // leaky frees at destruction only
     }
+}
+
+// The scans stop at tid_hwm(). A thread whose id no thread held before the
+// domain was built must still be seen: the node it protects survives a
+// drain_all() until it lets go. Pool threads first park on every free id
+// below the mark, and the registry hands out the lowest free id, so the
+// first thread that gets one at or above the mark is brand new.
+TYPED_TEST(ReclaimConformanceTest, BrandNewThreadIsSeenByTheScans) {
+    using R = TypeParam;
+    (void)sec::detail::tid();  // the coordinator's id is below the mark
+    std::atomic<std::uint64_t> destroyed{0};
+    R domain;
+    const std::size_t hwm = sec::detail::tid_hwm();
+    // Each run raises the mark by one, and parks one thread per id below
+    // it; under --gtest_repeat that would grow to hundreds of threads.
+    if (hwm > 64) GTEST_SKIP() << "mark " << hwm << ": too many to park";
+    std::atomic<Probe*> src{new Probe(destroyed)};
+
+    enum : int { kSpawned, kParked, kProtecting };
+    std::atomic<int> state{kSpawned};  // the latest thread's report
+    std::atomic<std::size_t> new_id{0};
+    std::atomic<bool> release{false};
+    auto wait_release = [&release] {
+        while (!release.load()) std::this_thread::yield();
+    };
+    sec::exec::PoolOptions wo;
+    wo.coordinator_in_barrier = false;
+    std::vector<std::unique_ptr<sec::exec::WorkerPool>> threads;
+    do {
+        state.store(kSpawned);
+        threads.push_back(std::make_unique<sec::exec::WorkerPool>(1, wo));
+        threads.back()->start([&](sec::exec::WorkerContext&) {
+            const std::size_t id = sec::detail::tid();
+            if (id < hwm) {
+                state.store(kParked);
+                wait_release();
+                return;
+            }
+            new_id.store(id);
+            domain.quiesce();  // QSBR: online before it takes a reference
+            {
+                typename R::Guard g(domain);
+                ASSERT_NE(g.protect(0u, src), nullptr);
+                state.store(kProtecting);
+                wait_release();
+            }
+            domain.quiesce();
+            domain.offline();
+        });
+        while (state.load() == kSpawned) std::this_thread::yield();
+    } while (state.load() == kParked);
+    EXPECT_GE(new_id.load(), hwm);
+
+    domain.retire(src.exchange(nullptr));  // unlink, then retire
+    domain.drain_all();
+    EXPECT_EQ(destroyed.load(), 0u) << "freed under a new thread's guard";
+
+    release.store(true);
+    for (auto& t : threads) t->join();
+    domain.drain_all();
+    EXPECT_EQ(destroyed.load(), R::kDrainsOnDemand ? 1u : 0u);
 }
 
 TYPED_TEST(ReclaimConformanceTest, DestructionFreesEverything) {
